@@ -38,7 +38,7 @@ log = parse_xes(path)
 print(f"parsed {len(log.events)} events, {len(log.cases)} applications"
       f" [{time.perf_counter() - t0:.0f} s]")
 
-outcomes = derive_outcome(log, "A_Pending")
+outcomes = derive_outcome(log, "A_Pending|COMPLETE")
 n = sum(1 for v in outcomes.values() if v == "success")
 print(f"{n} pending (offer accepted), {len(outcomes) - n} not")
 
@@ -50,7 +50,7 @@ config = RunConfig(
     max_len=4,
     top_segments=43,
     blacklist=("User_1",),
-    success_activity="A_Pending",
+    success_activity="A_Pending|COMPLETE",
 )
 
 t0 = time.perf_counter()

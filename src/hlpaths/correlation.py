@@ -9,6 +9,10 @@ time bin, ...) gives a contingency table; Pearson's chi-square test of
 independence, without continuity correction, quantifies the association.
 Multiple paths are tested at once, so p-values are adjusted with the
 Benjamini-Hochberg procedure before calling anything significant.
+
+Many paths share one activity chain, so :func:`rank_paths` indexes the
+log's cases by activity variant once and finds each chain's traversers
+once; a path then costs only its own participants.
 """
 
 from __future__ import annotations
@@ -47,6 +51,26 @@ def participating_cases(
     return frozenset(cases)
 
 
+def _variant_index(log: EventLog) -> dict[tuple[str, ...], list[str]]:
+    """Cases grouped by their activity sequence (variant), in one pass."""
+    variants: dict[tuple[str, ...], list[str]] = {}
+    for case in log.cases:
+        variants.setdefault(log.activity_sequence(case), []).append(case)
+    return variants
+
+
+def _traversing_cases(
+    variants: Mapping[tuple[str, ...], Sequence[str]], chain: Sequence[str]
+) -> frozenset[str]:
+    """Cases whose variant contains ``chain`` as a contiguous infix."""
+    return frozenset(
+        case
+        for sequence, cases in variants.items()
+        if contains_infix(sequence, chain)
+        for case in cases
+    )
+
+
 def non_participating_cases(
     log: EventLog, path: HighLevelPath, participating: frozenset[str]
 ) -> frozenset[str]:
@@ -56,12 +80,7 @@ def non_participating_cases(
     comparable — a case that never reaches those activities says nothing
     about what happens there.
     """
-    chain = path.activity_chain()
-    return frozenset(
-        c
-        for c in log.cases
-        if c not in participating and contains_infix(log.activity_sequence(c), chain)
-    )
+    return _traversing_cases(_variant_index(log), path.activity_chain()) - participating
 
 
 # --- case attributes -------------------------------------------------------
@@ -261,6 +280,27 @@ class PathAssociation:
     skipped_reason: str | None = None
 
 
+_PARTICIPATION_ROWS = ("participating", "non-participating")
+
+
+def _class_columns(
+    classes: Mapping[str, str], class_order: Sequence[str] | None
+) -> tuple[str, ...]:
+    return tuple(class_order) if class_order else tuple(sorted(set(classes.values())))
+
+
+def _class_row(
+    cases: Iterable[str], classes: Mapping[str, str], cols: Sequence[str]
+) -> tuple[int, ...]:
+    """Cases per attribute class, in column order; unclassified cases drop out."""
+    tally = dict.fromkeys(cols, 0)
+    for case in cases:
+        label = classes.get(case)
+        if label is not None:
+            tally[label] += 1
+    return tuple(tally[c] for c in cols)
+
+
 def participation_table(
     participating: frozenset[str],
     non_participating: frozenset[str],
@@ -268,19 +308,14 @@ def participation_table(
     *,
     class_order: Sequence[str] | None = None,
 ) -> ContingencyTable:
-    cols = tuple(class_order) if class_order else tuple(sorted(set(classes.values())))
-    def row(group: frozenset[str]) -> tuple[int, ...]:
-        tally = {c: 0 for c in cols}
-        for case in group:
-            label = classes.get(case)
-            if label is not None:
-                tally[label] += 1
-        return tuple(tally[c] for c in cols)
-
+    cols = _class_columns(classes, class_order)
     return ContingencyTable(
-        row_labels=("participating", "non-participating"),
+        row_labels=_PARTICIPATION_ROWS,
         col_labels=cols,
-        counts=(row(participating), row(non_participating)),
+        counts=(
+            _class_row(participating, classes, cols),
+            _class_row(non_participating, classes, cols),
+        ),
     )
 
 
@@ -302,27 +337,39 @@ def rank_paths(
     if not 0 < alpha < 1:
         raise ConfigError(f"alpha must lie in (0, 1), got {alpha}")
     paths = sorted(grouped, key=lambda p: (-len(grouped[p]), p.label()))
+    cols = _class_columns(classes, class_order)
+    variants = _variant_index(log)
+    # traversers and their class row, once per distinct activity chain
+    by_chain: dict[tuple[str, ...], tuple[frozenset[str], tuple[int, ...]]] = {}
     tested: list[tuple[HighLevelPath, int, ContingencyTable, ChiSquareResult, int, int]] = []
     skipped: list[tuple[HighLevelPath, int, int, int, str]] = []
     for path in paths:
         freq = len(grouped[path])
         part = participating_cases(path, grouped)
-        nonpart = non_participating_cases(log, path, part)
-        table = participation_table(part, nonpart, classes, class_order=class_order)
+        chain = path.activity_chain()
+        if chain not in by_chain:
+            traversers = _traversing_cases(variants, chain)
+            by_chain[chain] = (traversers, _class_row(traversers, classes, cols))
+        traversers, traverser_row = by_chain[chain]
+        # participants need not traverse the chain (rework loops), so only
+        # the overlap leaves the comparison group
+        overlap = part & traversers
+        n_nonpart = len(traversers) - len(overlap)
+        part_row = _class_row(part, classes, cols)
+        nonpart_row = [t - o for t, o in zip(traverser_row, _class_row(overlap, classes, cols))]
         # drop attribute classes absent from both groups before testing
-        keep = [j for j, t in enumerate(table.col_totals()) if t > 0]
-        if len(keep) < len(table.col_labels):
-            table = ContingencyTable(
-                row_labels=table.row_labels,
-                col_labels=tuple(table.col_labels[j] for j in keep),
-                counts=tuple(tuple(r[j] for j in keep) for r in table.counts),
-            )
+        keep = [j for j in range(len(cols)) if part_row[j] + nonpart_row[j] > 0]
+        table = ContingencyTable(
+            row_labels=_PARTICIPATION_ROWS,
+            col_labels=tuple(cols[j] for j in keep),
+            counts=(tuple(part_row[j] for j in keep), tuple(nonpart_row[j] for j in keep)),
+        )
         try:
             result = chi_square(table)
         except ValueError as exc:
-            skipped.append((path, freq, len(part), len(nonpart), str(exc)))
+            skipped.append((path, freq, len(part), n_nonpart, str(exc)))
             continue
-        tested.append((path, freq, table, result, len(part), len(nonpart)))
+        tested.append((path, freq, table, result, len(part), n_nonpart))
 
     q_values = benjamini_hochberg([t[3].p_value for t in tested])
     out = [

@@ -233,6 +233,8 @@ def _finalize(
         case_events, n = _repair_case_times(case_events, duplicate_policy)
         repaired += n
         events.extend(case_events)
+    if not events:
+        raise LogParseError("log has no events")
     if repaired:
         warnings.warn(
             f"offset {repaired} duplicate-timestamp event(s) by 1 ms to keep "
@@ -285,19 +287,22 @@ def parse_csv(
     extra_columns = [c for c in header if c not in known]
 
     raw_events: list[Event] = []
-    for line, row in enumerate(reader, start=2):
+    for n, row in enumerate(reader):
+        # DictReader files surplus fields under None and pads short rows with None
+        if None in row or None in row.values():
+            raise LogParseError(f"row does not have the header's {len(header)} fields",
+                                line=reader.line_num)
         try:
             time = parse_timestamp(row[schema.timestamp])
         except LogParseError as exc:
-            raise LogParseError(str(exc), line=line) from None
+            raise LogParseError(str(exc), line=reader.line_num) from None
         activity = row[schema.activity].strip()
         if schema.lifecycle is not None:
-            activity = merge_lifecycle(activity, row[schema.lifecycle] or "",
-                                       lifecycle_case)
-        resource = (row[schema.resource] or "").strip() if schema.resource else ""
-        attrs = tuple((c, row[c] if row[c] is not None else "") for c in extra_columns)
+            activity = merge_lifecycle(activity, row[schema.lifecycle], lifecycle_case)
+        resource = row[schema.resource].strip() if schema.resource else ""
+        attrs = tuple((c, row[c]) for c in extra_columns)
         raw_events.append(Event(
-            id=f"e{line - 2}",
+            id=f"e{n}",
             case=row[schema.case].strip(),
             activity=activity,
             resource=resource,

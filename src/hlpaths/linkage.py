@@ -73,8 +73,9 @@ class PropagationGraph:
     def build(cls, hles: Iterable[HighLevelEvent], lam: float) -> "PropagationGraph":
         if not 0 <= lam <= 1:
             raise ConfigError(f"lambda must lie in [0, 1], got {lam}")
+        hles = list(hles)
         by_id = {h.id: h for h in hles}
-        if len(by_id) != len(list(by_id)):  # pragma: no cover - dict dedup
+        if len(by_id) != len(hles):
             raise ValueError("duplicate high-level event ids")
         # only events starting where h ends can chain: prefilter by activity
         by_start: dict[str, list[HighLevelEvent]] = defaultdict(list)

@@ -357,3 +357,56 @@ def o_benjamini_hochberg(p_values) -> list[float]:
         ]
         q[i] = min(1.0, min(candidates))
     return q
+
+
+# --- correlation --------------------------------------------------------------
+
+def o_traces(log: EventLog) -> dict[str, list[str]]:
+    by_case: dict[str, list[Event]] = {}
+    for e in log.events:
+        by_case.setdefault(e.case, []).append(e)
+    return {
+        case: [e.activity for e in sorted(events, key=lambda e: e.time)]
+        for case, events in by_case.items()
+    }
+
+
+def o_has_infix(sequence: list[str], infix: list[str]) -> bool:
+    m = len(infix)
+    return any(sequence[i : i + m] == infix for i in range(len(sequence) - m + 1))
+
+
+def o_rank_paths(log: EventLog, grouped, classes, class_order=None, alpha: float = 0.05):
+    """Per-path rescan of every case: participants are the union of the
+    episodes' common cases, non-participants every other case whose trace
+    holds the path's folded activity chain as a contiguous infix. Returns
+    {path: (frequency, n_part, n_nonpart, columns, counts, p, q, significant)},
+    with columns/counts/p/q None for paths skipped on a zero marginal."""
+    traces = o_traces(log)
+    cols = list(class_order) if class_order else sorted(set(classes.values()))
+    rows = {}
+    for path, episodes in grouped.items():
+        chain = [path.elements[0][1][0]] + [seg[1] for _, seg in path.elements]
+        part = set()
+        for ep in episodes:
+            part |= ep.common_cases
+        nonpart = {
+            c for c, seq in traces.items() if c not in part and o_has_infix(seq, chain)
+        }
+        counts = [
+            [sum(1 for c in group if classes.get(c) == label) for label in cols]
+            for group in (part, nonpart)
+        ]
+        keep = [j for j in range(len(cols)) if counts[0][j] + counts[1][j] > 0]
+        table = [[row[j] for j in keep] for row in counts]
+        if len(keep) < 2 or any(sum(row) == 0 for row in table):
+            rows[path] = (len(episodes), len(part), len(nonpart), None, None, None)
+        else:
+            rows[path] = (len(episodes), len(part), len(nonpart),
+                          tuple(cols[j] for j in keep), table, o_chi2_p(*o_chi2_stat(table)))
+    tested = [path for path, row in rows.items() if row[3] is not None]
+    q = dict(zip(tested, o_benjamini_hochberg([rows[p][5] for p in tested])))
+    return {
+        path: row + ((q[path], q[path] <= alpha) if path in q else (None, False))
+        for path, row in rows.items()
+    }

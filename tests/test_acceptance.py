@@ -425,7 +425,7 @@ def test_criterion_6_public_log_diagnostic():
 
     log = parse_xes(path)
     assert len(log.cases) == 31509, "application count"
-    outcomes = derive_outcome(log, "A_Pending")
+    outcomes = derive_outcome(log, "A_Pending|COMPLETE")
     assert sum(1 for v in outcomes.values() if v == "success") == 17228
 
     throughput = derive_throughput(log)
@@ -438,7 +438,7 @@ def test_criterion_6_public_log_diagnostic():
 
     config = RunConfig(window="1d", percentile=90, delay_percentile=70, lam=0.5,
                        top_segments=43, blacklist=("User_1",),
-                       success_activity="A_Pending")
+                       success_activity="A_Pending|COMPLETE")
     detect = run_detect(log, config)
     total = len(detect.hles)
     by_type = {}

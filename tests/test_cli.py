@@ -144,6 +144,27 @@ def test_exit_codes(tmp_path, staged):
     ]) == 1
 
 
+@pytest.mark.parametrize("body, message", [
+    ("c1,a\n", "line 2: row does not have"),
+    ("", "log has no events"),
+])
+def test_report_rejects_malformed_csv(tmp_path, capsys, body, message):
+    bad = tmp_path / "bad.csv"
+    bad.write_text("case,activity,timestamp,resource\n" + body)
+    assert main(["report", "--input", str(bad), "--out", str(tmp_path / "out"),
+                 "--success-activity", "a"]) == 1
+    assert f"error: {message}" in capsys.readouterr().err
+
+
+def test_link_rejects_repeated_event_id(staged, tmp_path, capsys):
+    _, _, _, det, _ = staged
+    first = (det / "hles.jsonl").read_text().splitlines()[0]
+    doubled = tmp_path / "hles.jsonl"
+    doubled.write_text(first + "\n" + first + "\n")
+    assert main(["link", "--hles", str(doubled), "--out", str(tmp_path / "out")]) == 1
+    assert "error: duplicate high-level event ids" in capsys.readouterr().err
+
+
 def test_build_config_precedence(tmp_path):
     cfg_file = tmp_path / "run.yaml"
     with open(cfg_file, "w") as fp:

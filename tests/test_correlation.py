@@ -6,7 +6,7 @@ from datetime import timedelta
 import pytest
 from scipy.special import gammaincc
 
-from conftest import T0, mk_log
+from conftest import T0, mk_log, random_small_log
 from hlpaths.correlation import (
     AttributeBinning,
     ContingencyTable,
@@ -22,11 +22,19 @@ from hlpaths.correlation import (
     participation_table,
     rank_paths,
 )
-from hlpaths.detection import HighLevelEvent
+from hlpaths.detection import HighLevelEvent, compute_thresholds, detect_hles
 from hlpaths.errors import ConfigError
 from hlpaths.event_log import Segment
-from hlpaths.linkage import Episode, HighLevelPath
-from hlpaths.patterns import FeatureType
+from hlpaths.framing import Framing, build_indices
+from hlpaths.linkage import (
+    Episode,
+    HighLevelPath,
+    PropagationGraph,
+    enumerate_episodes,
+    group_episodes_by_path,
+)
+from hlpaths.patterns import FeatureType, compute_delay_thresholds
+from oracles import o_has_infix, o_rank_paths, o_traces
 
 EXIT = FeatureType.EXIT
 
@@ -253,3 +261,65 @@ def test_rank_paths_drops_absent_classes(scenario):
     assert ranked[0].table.col_labels == ("failure", "success")
     with pytest.raises(ConfigError):
         rank_paths(log, grouped, classes, alpha=1.5)
+
+
+def _random_grouped(seed):
+    """A random small log (repeated activities make rework loops) and its
+    episodes grouped by path, from the real detect and link stages."""
+    log, params = random_small_log(seed)
+    idx = build_indices(log, Framing(width=params["width"], origin=params["origin"]))
+    delta = compute_delay_thresholds(idx, params["q"])
+    table = compute_thresholds(idx, params["p"], delay_thresholds=delta,
+                               blacklist=params["blacklist"],
+                               pair_population=params["pair_population"])
+    hles = detect_hles(idx, table, delay_thresholds=delta, blacklist=params["blacklist"])
+    episodes = enumerate_episodes(
+        PropagationGraph.build(hles, params["lam"]), max_len=params["max_len"],
+        lam=params["lam"], condition=params["condition"])
+    return log, group_episodes_by_path(episodes)
+
+
+def test_rank_paths_matches_oracle():
+    """rank_paths equals a per-path rescan of every case, over outcome and
+    binned-throughput attributes, with and without a class order that
+    names a class nobody carries."""
+    seen = {"tested": 0, "skipped": 0, "rework": 0}
+    for seed in range(20):
+        log, grouped = _random_grouped(seed)
+        traces = o_traces(log)
+        for path, episodes in grouped.items():
+            chain = list(path.activity_chain())
+            part = set().union(*(ep.common_cases for ep in episodes))
+            seen["rework"] += any(not o_has_infix(traces[c], chain) for c in part)
+        outcome = derive_outcome(log, "A")
+        throughput = derive_throughput(log)
+        binning = AttributeBinning.by_quantiles(throughput.values(), 3)
+        binned = bin_cases(throughput, binning)
+        del binned[log.cases[seed % len(log.cases)]]  # an unclassified case
+        for classes, order in (
+            (outcome, None),
+            (outcome, ("failure", "withdrawn", "success")),
+            (binned, binning.labels + ("unbinned",)),
+        ):
+            want = o_rank_paths(log, grouped, classes, order)
+            got = rank_paths(log, grouped, classes, class_order=order)
+            assert {a.path for a in got} == set(want), seed
+            for a in got:
+                freq, n_p, n_n, cols, counts, p, q, sig = want[a.path]
+                assert (a.frequency, a.n_participating, a.n_non_participating) \
+                    == (freq, n_p, n_n), (seed, a.path)
+                assert a.significant == sig, (seed, a.path)
+                if cols is None:
+                    assert a.result is None and a.skipped_reason, (seed, a.path)
+                    seen["skipped"] += 1
+                    continue
+                assert a.table.col_labels == cols, (seed, a.path)
+                assert [list(r) for r in a.table.counts] == counts, (seed, a.path)
+                assert a.result.p_value == pytest.approx(p, rel=1e-9, abs=1e-12)
+                assert a.q_value == pytest.approx(q, rel=1e-9, abs=1e-12)
+                seen["tested"] += 1
+            n_tested = sum(a.result is not None for a in got)
+            ranked = [(a.result.p_value, -a.frequency, a.path.label()) for a in got[:n_tested]]
+            assert ranked == sorted(ranked) and all(a.result is None for a in got[n_tested:])
+    # the random logs must reach every branch the comparison depends on
+    assert all(seen.values()), seen

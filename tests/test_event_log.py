@@ -54,6 +54,23 @@ def test_parse_csv_bad_timestamp_reports_line():
     bad = "case,activity,timestamp,resource\nc1,a,2024-03-01T08:00:00Z,x\nc1,b,not-a-date,x\n"
     with pytest.raises(LogParseError, match="line 3"):
         parse_csv(io.StringIO(bad))
+    # blank lines still count: the number is the line in the file
+    with pytest.raises(LogParseError, match="line 5"):
+        parse_csv(io.StringIO(bad.replace("\n", "\n\n", 2)))
+
+
+def test_parse_csv_row_with_wrong_field_count_reports_line():
+    head = "case,activity,timestamp,resource\nc1,a,2024-03-01T08:00:00Z,x\n"
+    for row in ("c1,b\n", "c1,b,2024-03-01T09:00:00Z,x,surplus\n"):
+        with pytest.raises(LogParseError, match="line 3: row does not have"):
+            parse_csv(io.StringIO(head + row))
+
+
+def test_parse_header_only_is_empty_log_error():
+    with pytest.raises(LogParseError, match="log has no events"):
+        parse_csv(io.StringIO("case,activity,timestamp,resource\n"))
+    with pytest.raises(LogParseError, match="log has no events"):
+        parse_xes(b"<log></log>")
 
 
 def test_parse_csv_custom_schema_and_extra_columns():

@@ -93,6 +93,10 @@ def test_graph_build_and_lambda_guard():
     assert graph.n_edges == 2
     with pytest.raises(ConfigError):
         PropagationGraph.build([h0], 1.5)
+    with pytest.raises(ValueError, match="duplicate high-level event ids"):
+        PropagationGraph.build([h0, h1, h0], 0.5)
+    # a one-shot iterable is read once
+    assert PropagationGraph.build(iter([h0, h1, h2]), 0.5).successors == graph.successors
 
 
 # three-event chain where the two episode conditions disagree:
