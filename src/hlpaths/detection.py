@@ -24,6 +24,8 @@ from .patterns import (
     DelayThresholds,
     FeatureType,
     evaluate_pattern,
+    nearest_rank,
+    occupied_values,
 )
 
 PAIR_POPULATIONS = ("occupied", "all")
@@ -61,27 +63,6 @@ class HighLevelEvent:
         return (self.ftype, self.segment, self.theta)
 
 
-def _rank_threshold(values: list[float], p: float) -> float:
-    """Threshold = element at index floor(p*n/100) of the sorted population.
-
-    At p=100 the index equals n, which we read as "above everything":
-    the threshold becomes +inf and the (type, segment) stops firing.
-    """
-    if not values:
-        return math.inf
-    if not 0 <= p <= 100:
-        raise ConfigError(f"percentile must lie in [0, 100], got {p}")
-    ordered = sorted(values)
-    pos = math.floor(p * len(ordered) / 100)
-    if pos >= len(ordered):
-        return math.inf
-    return ordered[pos]
-
-
-def _single_thetas(idx: StepIndex) -> range:
-    return idx.window_range
-
-
 def compute_thresholds(
     idx: StepIndex,
     p: float,
@@ -97,7 +78,8 @@ def compute_thresholds(
     included, so a segment that is quiet most days gets a low bar. Pair
     populations default to the occupied pairs only (an all-pairs population
     would drown in structural zeros); ``pair_population="all"`` widens them
-    to every ordered pair within the frame.
+    to every ordered pair within the frame. Only occupied coordinates are
+    evaluated; the zeros everywhere else are counted, not built.
     """
     if pair_population not in PAIR_POPULATIONS:
         raise ConfigError(
@@ -106,36 +88,24 @@ def compute_thresholds(
     requested = [t for t in ALL_FEATURE_TYPES if t in set(types)]
     if FeatureType.DELAY in requested and delay_thresholds is None:
         raise ValueError("delay pattern needs delay thresholds")
+    n_windows = len(idx.window_range)
     values: dict[tuple[FeatureType, Segment], float] = {}
     for segment in idx.sorted_segments():
         for ftype in requested:
-            if ftype.uses_window_pair:
-                thetas: Iterable[Theta] = idx.occupied_pairs(segment)
-                if pair_population == "all":
-                    hi = idx.window_range[-1]
-                    thetas = (
-                        (a, b)
-                        for a in idx.window_range
-                        for b in range(a, hi + 1)
-                    )
+            occupied = occupied_values(
+                ftype, segment, idx,
+                delay_thresholds=delay_thresholds, blacklist=blacklist,
+            )
+            if not ftype.uses_window_pair:
+                size = n_windows
+            elif pair_population == "all":
+                size = n_windows * (n_windows + 1) // 2
             else:
-                thetas = _single_thetas(idx)
-            population = [
-                evaluate_pattern(
-                    ftype,
-                    Coordinate(segment, theta),
-                    idx,
-                    delay_thresholds=delay_thresholds,
-                    blacklist=blacklist,
-                ).value
-                for theta in thetas
-            ]
-            values[(ftype, segment)] = _rank_threshold(population, p)
+                size = len(occupied)
+            values[(ftype, segment)] = nearest_rank(
+                occupied.values(), p, zeros=size - len(occupied), past_end=math.inf
+            )
     return ThresholdTable(percentile=p, values=values)
-
-
-def _theta_sort_key(theta: Theta) -> tuple:
-    return (theta,) if isinstance(theta, int) else tuple(theta)
 
 
 def detect_hles(
@@ -150,7 +120,8 @@ def detect_hles(
     reaches max(threshold, 1).
 
     Ids are assigned in a deterministic scan order — feature type, then
-    segment, then theta — so equal inputs give equal outputs.
+    segment, then theta — so equal inputs give equal outputs. Only occupied
+    coordinates can reach 1, and only those that fire get a step set.
     """
     hles: list[HighLevelEvent] = []
     requested = [t for t in ALL_FEATURE_TYPES if t in set(types)]
@@ -161,13 +132,13 @@ def detect_hles(
             bar = max(thresholds.get(ftype, segment), 1.0)
             if math.isinf(bar):
                 continue
-            if ftype.uses_window_pair:
-                thetas: Iterable[Theta] = sorted(
-                    idx.occupied_pairs(segment), key=_theta_sort_key
-                )
-            else:
-                thetas = _single_thetas(idx)
-            for theta in thetas:
+            occupied = occupied_values(
+                ftype, segment, idx,
+                delay_thresholds=delay_thresholds, blacklist=blacklist,
+            )
+            for theta, value in occupied.items():
+                if value < bar:
+                    continue
                 result = evaluate_pattern(
                     ftype,
                     Coordinate(segment, theta),
@@ -175,8 +146,6 @@ def detect_hles(
                     delay_thresholds=delay_thresholds,
                     blacklist=blacklist,
                 )
-                if result.value < bar:
-                    continue
                 firsts = [s.first.time for s in result.steps]
                 seconds = [s.second.time for s in result.steps]
                 hles.append(

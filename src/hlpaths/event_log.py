@@ -324,7 +324,8 @@ def parse_xes(
 ) -> EventLog:
     """Load a flat XES log (string/date attributes of trace/event elements).
 
-    concept:name of a trace maps to the case id, concept:name of an event
+    concept:name of a trace maps to the case id (a trace without one raises
+    LogParseError naming its 1-based position), concept:name of an event
     to the activity, org:resource to the resource, time:timestamp to the
     timestamp and lifecycle:transition is merged into the activity name.
     Events without a timestamp are skipped (one warning with the count).
@@ -342,9 +343,11 @@ def parse_xes(
     try:
         with opener as stream:
             context = ET.iterparse(stream, events=("end",))
+            n_traces = 0
             for _, elem in context:
                 if _localname(elem.tag) != "trace":
                     continue
+                n_traces += 1
                 case = ""
                 trace_events = []
                 for child in elem:
@@ -353,6 +356,8 @@ def parse_xes(
                         case = child.get("value", "")
                     elif name == "event":
                         trace_events.append(child)
+                if not case:
+                    raise LogParseError(f"trace {n_traces} has no concept:name")
                 for ev in trace_events:
                     fields: dict[str, str] = {}
                     for attr in ev:

@@ -117,15 +117,16 @@ class StepIndex:
     * ``pairs_by_segment``: segment -> {(entry window, exit window) ->
       steps}; only occupied pairs are materialized, the value anywhere
       else is zero.
+    * ``entering_by_segment`` / ``exiting_by_segment``: segment ->
+      {entry / exit window -> steps}, again occupied windows only.
 
-    Entry/exit buckets per segment are precomputed so per-window pattern
-    values are O(1) lookups.
+    Every bucket map is in ascending window (pair) order.
     """
 
     __slots__ = (
         "framing", "segments", "window_range", "steps_by_segment",
-        "events_by_window", "pairs_by_segment", "_enter_buckets",
-        "_exit_buckets",
+        "events_by_window", "pairs_by_segment", "entering_by_segment",
+        "exiting_by_segment",
     )
 
     def __init__(self, log: EventLog, framing: Framing,
@@ -151,8 +152,8 @@ class StepIndex:
 
         self.steps_by_segment: dict[Segment, tuple[Step, ...]] = {}
         self.pairs_by_segment: dict[Segment, dict[tuple[int, int], tuple[Step, ...]]] = {}
-        self._enter_buckets: dict[Segment, dict[int, tuple[Step, ...]]] = {}
-        self._exit_buckets: dict[Segment, dict[int, tuple[Step, ...]]] = {}
+        self.entering_by_segment: dict[Segment, dict[int, tuple[Step, ...]]] = {}
+        self.exiting_by_segment: dict[Segment, dict[int, tuple[Step, ...]]] = {}
         for segment, steps in steps_by_segment.items():
             steps.sort(key=_step_sort_key)
             self.steps_by_segment[segment] = tuple(steps)
@@ -166,17 +167,17 @@ class StepIndex:
                 enter.setdefault(w_in, []).append(step)
                 exit_.setdefault(w_out, []).append(step)
             self.pairs_by_segment[segment] = {p: tuple(s) for p, s in sorted(pairs.items())}
-            self._enter_buckets[segment] = {w: tuple(s) for w, s in sorted(enter.items())}
-            self._exit_buckets[segment] = {w: tuple(s) for w, s in sorted(exit_.items())}
+            self.entering_by_segment[segment] = {w: tuple(s) for w, s in sorted(enter.items())}
+            self.exiting_by_segment[segment] = {w: tuple(s) for w, s in sorted(exit_.items())}
 
     def steps_of(self, segment: Segment) -> tuple[Step, ...]:
         return self.steps_by_segment.get(segment, ())
 
     def steps_entering(self, segment: Segment, window: int) -> tuple[Step, ...]:
-        return self._enter_buckets.get(segment, {}).get(window, ())
+        return self.entering_by_segment.get(segment, {}).get(window, ())
 
     def steps_exiting(self, segment: Segment, window: int) -> tuple[Step, ...]:
-        return self._exit_buckets.get(segment, {}).get(window, ())
+        return self.exiting_by_segment.get(segment, {}).get(window, ())
 
     def pair_steps(self, segment: Segment, pair: tuple[int, int]) -> tuple[Step, ...]:
         return self.pairs_by_segment.get(segment, {}).get(pair, ())

@@ -55,12 +55,13 @@ def case_overlap(h: HighLevelEvent, g: HighLevelEvent, lam: float) -> bool:
 
 
 def propagates(h: HighLevelEvent, g: HighLevelEvent, lam: float) -> bool:
-    """The directed propagation relation; never reflexive."""
+    """The directed propagation relation; never reflexive. The cheap time
+    test runs before the Jaccard overlap: it rejects most candidates."""
     return (
         h.id != g.id
         and location_overlap(h, g)
-        and case_overlap(h, g, lam)
         and time_overlap(h, g)
+        and case_overlap(h, g, lam)
     )
 
 

@@ -24,11 +24,11 @@ from __future__ import annotations
 
 import enum
 import math
-from typing import Iterable, NamedTuple
+from typing import Iterable, NamedTuple, Sequence
 
 from .errors import ConfigError
 from .event_log import Segment, Step
-from .framing import Coordinate, StepIndex
+from .framing import Coordinate, StepIndex, Theta
 
 
 class FeatureType(str, enum.Enum):
@@ -69,18 +69,74 @@ def resource_qualifies(step: Step, blacklist: frozenset[str]) -> bool:
     return bool(r1) and bool(r2) and r1 not in blacklist and r2 not in blacklist
 
 
-def nearest_rank(values: Iterable[float], p: float) -> float:
-    """Nearest-rank percentile: element at rank floor(p*n/100)+1, capped at n.
+def nearest_rank(
+    values: Iterable[float],
+    p: float,
+    *,
+    zeros: int = 0,
+    past_end: float | None = None,
+) -> float:
+    """Nearest-rank percentile: the element at 0-based rank floor(p*n/100)
+    of the sorted population.
 
-    Deterministic and interpolation-free; p=0 gives the minimum, p=100 the
-    maximum.
+    The population is ``values`` plus ``zeros`` further zeros, which are
+    counted, not built (``values`` must be non-negative). At p=100 the rank
+    is n, past the last element: that reads as the maximum, or as
+    ``past_end`` when given. Deterministic and interpolation-free; p=0
+    gives the minimum.
     """
     ordered = sorted(values)
-    if not ordered:
+    n = zeros + len(ordered)
+    if not n and past_end is None:
         raise ValueError("percentile of empty population")
     if not 0 <= p <= 100:
         raise ConfigError(f"percentile must lie in [0, 100], got {p}")
-    return ordered[min(len(ordered) - 1, math.floor(p * len(ordered) / 100))]
+    pos = math.floor(p * n / 100)
+    if pos >= n:
+        if past_end is not None:
+            return past_end
+        pos = n - 1
+    return 0.0 if pos < zeros else ordered[pos - zeros]
+
+
+def _buckets(
+    ftype: FeatureType, segment: Segment, idx: StepIndex
+) -> dict[Theta, tuple[Step, ...]]:
+    """Where the type's steps sit, occupied coordinates only: entry windows
+    for enter, window pairs for batch/delay, exit windows otherwise."""
+    if ftype is FeatureType.ENTER:
+        return idx.entering_by_segment.get(segment, {})
+    if ftype.uses_window_pair:
+        return idx.pairs_by_segment.get(segment, {})
+    return idx.exiting_by_segment.get(segment, {})
+
+
+def _counted(
+    ftype: FeatureType,
+    segment: Segment,
+    theta: Theta,
+    bucket: tuple[Step, ...],
+    delay_thresholds: DelayThresholds | None,
+    blacklist: frozenset[str],
+) -> Sequence[Step]:
+    """The steps of one coordinate's bucket that count for the type."""
+    if ftype is FeatureType.WORKLOAD:
+        return [
+            s for s in bucket
+            if resource_qualifies(s, blacklist) and s.first.resource == s.second.resource
+        ]
+    if ftype is FeatureType.HANDOVER:
+        return [
+            s for s in bucket
+            if resource_qualifies(s, blacklist) and s.first.resource != s.second.resource
+        ]
+    if ftype is FeatureType.DELAY:
+        if delay_thresholds is None:
+            raise ValueError("delay pattern needs delay thresholds")
+        w_in, w_out = theta
+        if w_out - w_in < delay_thresholds.get(segment, 1):
+            return ()
+    return bucket
 
 
 def evaluate_pattern(
@@ -102,36 +158,34 @@ def evaluate_pattern(
         raise ValueError(
             f"coordinate shape mismatch: {ftype.value} at theta {theta!r}"
         )
-
-    if ftype is FeatureType.ENTER:
-        steps = idx.steps_entering(segment, theta)
-    elif ftype is FeatureType.EXIT:
-        steps = idx.steps_exiting(segment, theta)
-    elif ftype is FeatureType.WORKLOAD:
-        steps = tuple(
-            s for s in idx.steps_exiting(segment, theta)
-            if resource_qualifies(s, blacklist) and s.first.resource == s.second.resource
-        )
-    elif ftype is FeatureType.HANDOVER:
-        steps = tuple(
-            s for s in idx.steps_exiting(segment, theta)
-            if resource_qualifies(s, blacklist) and s.first.resource != s.second.resource
-        )
-    elif ftype is FeatureType.BATCH:
-        steps = idx.pair_steps(segment, theta)
-    elif ftype is FeatureType.DELAY:
-        if delay_thresholds is None:
-            raise ValueError("delay pattern needs delay thresholds")
-        w_in, w_out = theta
-        if w_out - w_in >= delay_thresholds.get(segment, 1):
-            steps = idx.pair_steps(segment, theta)
-        else:
-            steps = ()
-    else:  # pragma: no cover - exhaustive over the enum
-        raise ValueError(f"unhandled feature type {ftype}")
-
-    step_set = frozenset(steps)
+    bucket = _buckets(ftype, segment, idx).get(theta, ())
+    step_set = frozenset(
+        _counted(ftype, segment, theta, bucket, delay_thresholds, blacklist)
+    )
     return PatternResult(steps=step_set, value=float(len(step_set)))
+
+
+def occupied_values(
+    ftype: FeatureType,
+    segment: Segment,
+    idx: StepIndex,
+    *,
+    delay_thresholds: DelayThresholds | None = None,
+    blacklist: frozenset[str] = frozenset(),
+) -> dict[Theta, float]:
+    """The type's value at every occupied coordinate of the segment, in
+    ascending theta order.
+
+    A coordinate is occupied when its entry window (enter), exit window
+    (exit/workload/handover) or window pair (batch/delay) holds a step of
+    the segment; the value is 0 at every other coordinate of the frame.
+    Values are counted, no step set is built. The value can still be 0
+    (workload, handover, delay).
+    """
+    return {
+        theta: float(len(_counted(ftype, segment, theta, bucket, delay_thresholds, blacklist)))
+        for theta, bucket in _buckets(ftype, segment, idx).items()
+    }
 
 
 def segment_delay_threshold(segment: Segment, idx: StepIndex, q: float) -> int:

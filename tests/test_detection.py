@@ -7,6 +7,7 @@ window 1 and handover stays flat at zero.
 
 import io
 import math
+import random
 from datetime import timedelta
 
 import pytest
@@ -22,8 +23,9 @@ from hlpaths.detection import (
     write_hles,
 )
 from hlpaths.event_log import Segment
-from hlpaths.framing import Framing, build_indices
-from hlpaths.patterns import FeatureType, compute_delay_thresholds
+from hlpaths.framing import Coordinate, Framing, build_indices
+from hlpaths.patterns import FeatureType, compute_delay_thresholds, evaluate_pattern
+from oracles import SINGLE_TYPES, o_threshold
 
 AB = Segment("a", "b")
 H = 60
@@ -195,3 +197,63 @@ def test_summarize_by_type(idx):
     assert counts == {
         "enter": 1, "exit": 1, "workload": 1, "handover": 0, "batch": 1, "delay": 0,
     }
+
+
+def long_log(seed=7, n_days=120):
+    """150 cases over more than 100 daily windows, so an all-pairs
+    population is almost entirely structural zeros."""
+    rng = random.Random(seed)
+    rows = [("first", "a", "r1", 0), ("first", "b", "r2", 30),
+            ("last", "a", "r1", n_days * D), ("last", "b", "r1", n_days * D + 30)]
+    for c in range(150):
+        t = rng.randint(0, (n_days - 10) * D)
+        for _ in range(rng.randint(2, 4)):
+            rows.append((f"c{c}", rng.choice("abc"), rng.choice(["r1", "r2", "r3", ""]), t))
+            t += rng.randint(H, 8 * D)
+    return mk_log(rows)
+
+
+def test_thresholds_never_evaluate_a_coordinate(idx, monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("compute_thresholds evaluated a coordinate")
+
+    monkeypatch.setattr("hlpaths.detection.evaluate_pattern", refuse)
+    monkeypatch.setattr("hlpaths.patterns.evaluate_pattern", refuse)
+    for index in (idx, build_indices(long_log(), Framing(width=DAY, origin=T0))):
+        delta = compute_delay_thresholds(index, 70)
+        for pair_population in ("occupied", "all"):
+            table = compute_thresholds(
+                index, 90, delay_thresholds=delta, blacklist=frozenset({"r3"}),
+                pair_population=pair_population,
+            )
+            assert len(table.values) == 6 * len(index.segments)
+
+
+@pytest.mark.parametrize("p", [0, 50, 90, 99, 99.5, 99.9, 99.99, 100])
+def test_all_pairs_thresholds_match_brute_force_populations(p):
+    idx = build_indices(long_log(), Framing(width=DAY, origin=T0))
+    windows = idx.window_range
+    assert len(windows) >= 100
+    delta = compute_delay_thresholds(idx, 70)
+    blacklist = frozenset({"r3"})
+    table = compute_thresholds(
+        idx, p, delay_thresholds=delta, blacklist=blacklist, pair_population="all"
+    )
+    want = {}
+    for segment in idx.segments:
+        for ftype in SINGLE_TYPES:
+            want[(ftype, segment)] = o_threshold([
+                evaluate_pattern(ftype, Coordinate(segment, w), idx, blacklist=blacklist).value
+                for w in windows
+            ], p)
+        batch, delay = [], []
+        for a in windows:
+            for b in range(a, windows[-1] + 1):
+                n = len(idx.pair_steps(segment, (a, b)))
+                batch.append(n)
+                delay.append(n if b - a >= delta[segment] else 0)
+        assert len(batch) == len(windows) * (len(windows) + 1) // 2
+        assert sum(batch) == len(idx.steps_of(segment))
+        want[(FeatureType.BATCH, segment)] = o_threshold(batch, p)
+        want[(FeatureType.DELAY, segment)] = o_threshold(delay, p)
+    assert table.values == want

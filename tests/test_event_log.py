@@ -187,6 +187,14 @@ def test_parse_xes_gzip(tmp_path):
     assert len(log) == 2
 
 
+def test_parse_xes_trace_without_case_name():
+    unnamed = XES.replace('<string key="concept:name" value="c1"/>\n', "", 1)
+    second = unnamed[unnamed.index("  <trace>"):unnamed.index("</log>")]
+    two_traces = XES.replace("</log>", second + "</log>")
+    with pytest.raises(LogParseError, match="trace 2 has no concept:name"):
+        parse_xes(two_traces.encode())
+
+
 def test_parse_xes_rejects_garbage():
     with pytest.raises(LogParseError, match="not valid XML"):
         parse_xes(b"<log><trace>")
