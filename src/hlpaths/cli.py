@@ -204,17 +204,24 @@ def _read_episodes(path: Path, hles_path: Path) -> list[Episode]:
         for line_no, line in enumerate(fp, start=1):
             if not line.strip():
                 continue
-            obj = json.loads(line)
             try:
-                hles = tuple(by_id[i] for i in obj["ids"])
+                obj = json.loads(line)
+                ids = obj["ids"]
+                unknown = [i for i in ids if i not in by_id]
+                common = frozenset(obj["common_cases"])
+                union = frozenset(obj["union_cases"])
+            except json.JSONDecodeError as exc:
+                raise LogParseError(f"not valid JSON: {exc.msg}", line=line_no) from None
             except KeyError as exc:
+                raise LogParseError(f"episode lacks {exc}", line=line_no) from None
+            except TypeError as exc:
+                raise LogParseError(f"malformed episode: {exc}", line=line_no) from None
+            if unknown:
                 raise LogParseError(
-                    f"episode references unknown high-level event {exc}", line=line_no
-                ) from None
+                    f"episode references unknown high-level event {unknown[0]}", line=line_no
+                )
             episodes.append(Episode(
-                hles=hles,
-                common_cases=frozenset(obj["common_cases"]),
-                union_cases=frozenset(obj["union_cases"]),
+                hles=tuple(by_id[i] for i in ids), common_cases=common, union_cases=union,
             ))
     return episodes
 

@@ -11,8 +11,9 @@ Multiple paths are tested at once, so p-values are adjusted with the
 Benjamini-Hochberg procedure before calling anything significant.
 
 Many paths share one activity chain, so :func:`rank_paths` indexes the
-log's cases by activity variant once and finds each chain's traversers
-once; a path then costs only its own participants.
+log's cases by activity variant once and finds the traversers of every
+chain in one pass over the variants; a path then costs only its own
+participants.
 """
 
 from __future__ import annotations
@@ -34,14 +35,6 @@ from .patterns import nearest_rank
 CHI2_CRITICAL_95 = {1: 3.8414588206941285, 2: 5.991464547107983}
 
 
-def contains_infix(sequence: Sequence[str], infix: Sequence[str]) -> bool:
-    """True when ``infix`` occurs in ``sequence`` as a contiguous run."""
-    n, m = len(sequence), len(infix)
-    if m == 0:
-        return True
-    return any(tuple(sequence[i : i + m]) == tuple(infix) for i in range(n - m + 1))
-
-
 def participating_cases(
     path: HighLevelPath, grouped: Mapping[HighLevelPath, list[Episode]]
 ) -> frozenset[str]:
@@ -60,15 +53,21 @@ def _variant_index(log: EventLog) -> dict[tuple[str, ...], list[str]]:
 
 
 def _traversing_cases(
-    variants: Mapping[tuple[str, ...], Sequence[str]], chain: Sequence[str]
-) -> frozenset[str]:
-    """Cases whose variant contains ``chain`` as a contiguous infix."""
-    return frozenset(
-        case
-        for sequence, cases in variants.items()
-        if contains_infix(sequence, chain)
-        for case in cases
-    )
+    variants: Mapping[tuple[str, ...], Sequence[str]], chains: Iterable[tuple[str, ...]]
+) -> dict[tuple[str, ...], frozenset[str]]:
+    """Per wanted chain, the cases whose variant holds it as a contiguous
+    infix, in one pass over the variants: only hits are kept, not every
+    infix of the log."""
+    wanted = set(chains)
+    lengths = {len(chain) for chain in wanted}
+    hits: dict[tuple[str, ...], list[str]] = {chain: [] for chain in wanted}
+    for sequence, cases in variants.items():
+        for n in lengths:
+            # a set, so a chain repeated inside one variant counts its cases once
+            infixes = {sequence[i : i + n] for i in range(len(sequence) - n + 1)}
+            for chain in infixes & wanted:
+                hits[chain].extend(cases)
+    return {chain: frozenset(cases) for chain, cases in hits.items()}
 
 
 def non_participating_cases(
@@ -80,7 +79,8 @@ def non_participating_cases(
     comparable — a case that never reaches those activities says nothing
     about what happens there.
     """
-    return _traversing_cases(_variant_index(log), path.activity_chain()) - participating
+    chain = path.activity_chain()
+    return _traversing_cases(_variant_index(log), [chain])[chain] - participating
 
 
 # --- case attributes -------------------------------------------------------
@@ -338,19 +338,18 @@ def rank_paths(
         raise ConfigError(f"alpha must lie in (0, 1), got {alpha}")
     paths = sorted(grouped, key=lambda p: (-len(grouped[p]), p.label()))
     cols = _class_columns(classes, class_order)
-    variants = _variant_index(log)
+    chains = {path: path.activity_chain() for path in paths}
     # traversers and their class row, once per distinct activity chain
-    by_chain: dict[tuple[str, ...], tuple[frozenset[str], tuple[int, ...]]] = {}
+    by_chain = {
+        chain: (traversers, _class_row(traversers, classes, cols))
+        for chain, traversers in _traversing_cases(_variant_index(log), chains.values()).items()
+    }
     tested: list[tuple[HighLevelPath, int, ContingencyTable, ChiSquareResult, int, int]] = []
     skipped: list[tuple[HighLevelPath, int, int, int, str]] = []
     for path in paths:
         freq = len(grouped[path])
         part = participating_cases(path, grouped)
-        chain = path.activity_chain()
-        if chain not in by_chain:
-            traversers = _traversing_cases(variants, chain)
-            by_chain[chain] = (traversers, _class_row(traversers, classes, cols))
-        traversers, traverser_row = by_chain[chain]
+        traversers, traverser_row = by_chain[chains[path]]
         # participants need not traverse the chain (rework loops), so only
         # the overlap leaves the comparison group
         overlap = part & traversers

@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 from datetime import datetime
 from typing import IO, Iterable, Iterator, Union
 
-from .errors import ConfigError
+from .errors import ConfigError, LogParseError
 from .event_log import Segment, Step
 from .framing import Coordinate, StepIndex, Theta
 from .patterns import (
@@ -195,6 +195,8 @@ def hle_from_dict(d: dict) -> HighLevelEvent:
     theta = d["theta"]
     start = tuple(datetime.fromisoformat(t) for t in d["start_spread"])
     end = tuple(datetime.fromisoformat(t) for t in d["end_spread"])
+    if start[0] > start[1] or end[0] > end[1]:
+        raise ValueError("a spread starts after it ends")
     return HighLevelEvent(
         id=int(d["id"]),
         ftype=FeatureType.parse(d["type"]),
@@ -213,7 +215,17 @@ def write_hles(hles: Iterable[HighLevelEvent], fp: IO[str]) -> None:
 
 
 def read_hles(fp: IO[str]) -> Iterator[HighLevelEvent]:
-    for line in fp:
-        line = line.strip()
-        if line:
-            yield hle_from_dict(json.loads(line))
+    """The events of a JSON-lines file; a malformed line raises
+    :class:`LogParseError` with its 1-based line number."""
+    for line_no, line in enumerate(fp, start=1):
+        if not line.strip():
+            continue
+        try:
+            hle = hle_from_dict(json.loads(line))
+        except json.JSONDecodeError as exc:
+            raise LogParseError(f"not valid JSON: {exc.msg}", line=line_no) from None
+        except KeyError as exc:
+            raise LogParseError(f"high-level event lacks {exc}", line=line_no) from None
+        except (TypeError, ValueError, IndexError) as exc:
+            raise LogParseError(f"malformed high-level event: {exc}", line=line_no) from None
+        yield hle

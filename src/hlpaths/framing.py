@@ -3,8 +3,8 @@
 A framing maps timestamps onto consecutive window indices; a coordinate
 is a (segment, window) or (segment, window-pair) position. The
 :class:`StepIndex` built here is the one immutable lookup structure the
-pattern evaluation works from: steps per segment, events per window, and
-the occupied (entry-window, exit-window) pairs per segment.
+pattern evaluation works from: steps per segment and the occupied entry
+windows, exit windows and (entry-window, exit-window) pairs per segment.
 """
 
 from __future__ import annotations
@@ -12,10 +12,10 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 from datetime import datetime, timedelta, timezone
-from typing import NamedTuple, Union
+from typing import Iterable, NamedTuple, Union
 
 from .errors import ConfigError
-from .event_log import Event, EventLog, Segment, Step, derive_steps
+from .event_log import EventLog, Segment, Step, derive_steps, select_top_segments
 
 Theta = Union[int, tuple[int, int]]
 
@@ -113,7 +113,6 @@ class StepIndex:
 
     * ``steps_by_segment``: segment -> its steps (restricted to the
       retained segments).
-    * ``events_by_window``: window index -> all events of the log in it.
     * ``pairs_by_segment``: segment -> {(entry window, exit window) ->
       steps}; only occupied pairs are materialized, the value anywhere
       else is zero.
@@ -125,30 +124,24 @@ class StepIndex:
 
     __slots__ = (
         "framing", "segments", "window_range", "steps_by_segment",
-        "events_by_window", "pairs_by_segment", "entering_by_segment",
-        "exiting_by_segment",
+        "pairs_by_segment", "entering_by_segment", "exiting_by_segment",
     )
 
     def __init__(self, log: EventLog, framing: Framing,
-                 segments: set[Segment] | frozenset[Segment]):
+                 segments: set[Segment] | frozenset[Segment], all_steps: Iterable[Step]):
+        """Index those of ``all_steps`` (the steps of ``log``) that lie on
+        one of ``segments``."""
         self.framing = framing
         self.segments = frozenset(segments)
         lo = framing.window_index(log.min_time)
         hi = framing.window_index(log.max_time)
         self.window_range = range(lo, hi + 1)
 
-        events_by_window: dict[int, list[Event]] = {}
-        for event in log.events:
-            events_by_window.setdefault(framing.window_index(event.time), []).append(event)
-        self.events_by_window: dict[int, tuple[Event, ...]] = {
-            w: tuple(evs) for w, evs in events_by_window.items()
-        }
-
-        all_steps, _ = derive_steps(log)
         steps_by_segment: dict[Segment, list[Step]] = {}
         for step in all_steps:
-            if step.segment in self.segments:
-                steps_by_segment.setdefault(step.segment, []).append(step)
+            segment = step.segment
+            if segment in self.segments:
+                steps_by_segment.setdefault(segment, []).append(step)
 
         self.steps_by_segment: dict[Segment, tuple[Step, ...]] = {}
         self.pairs_by_segment: dict[Segment, dict[tuple[int, int], tuple[Step, ...]]] = {}
@@ -190,15 +183,21 @@ class StepIndex:
 
 
 def build_indices(log: EventLog, framing: Framing,
-                  segments: set[Segment] | frozenset[Segment] | None = None) -> StepIndex:
-    """Index the log for pattern evaluation.
+                  segments: set[Segment] | frozenset[Segment] | None = None,
+                  *, top_segments: int | None = None) -> StepIndex:
+    """Index the log for pattern evaluation, deriving its steps once.
 
-    ``segments`` restricts which steps are indexed (the top-k selection);
-    None keeps every segment of the log.
+    ``segments`` restricts which steps are indexed; ``top_segments=k``
+    keeps the k most frequent segments instead. With neither, every
+    segment of the log is kept.
     """
     if framing.origin > log.min_time:
         raise ValueError("framing origin must not be later than the first event")
-    if segments is None:
-        _, counts = derive_steps(log)
+    if segments is not None and top_segments is not None:
+        raise ValueError("give segments or top_segments, not both")
+    steps, counts = derive_steps(log)
+    if top_segments is not None:
+        segments = select_top_segments(counts, top_segments)
+    elif segments is None:
         segments = set(counts)
-    return StepIndex(log, framing, segments)
+    return StepIndex(log, framing, segments, steps)

@@ -15,9 +15,11 @@ path with frequencies.
 
 from __future__ import annotations
 
+import bisect
 import math
 from collections import Counter, defaultdict
 from dataclasses import dataclass
+from datetime import timedelta
 from typing import Iterable, Iterator
 
 from .detection import HighLevelEvent
@@ -72,24 +74,40 @@ class PropagationGraph:
 
     @classmethod
     def build(cls, hles: Iterable[HighLevelEvent], lam: float) -> "PropagationGraph":
+        """Every edge of the propagation relation among ``hles``.
+
+        Each spread must run forwards (start <= end), as ``detect_hles``
+        builds them and ``read_hles`` checks; only the candidates whose start
+        spread can contain, or lie inside, an end spread are tested.
+        """
         if not 0 <= lam <= 1:
             raise ConfigError(f"lambda must lie in [0, 1], got {lam}")
         hles = list(hles)
         by_id = {h.id: h for h in hles}
         if len(by_id) != len(hles):
             raise ValueError("duplicate high-level event ids")
-        # only events starting where h ends can chain: prefilter by activity
+        # only events starting where h ends can chain: group the candidates
+        # per junction activity, sorted by the start of their start spread
         by_start: dict[str, list[HighLevelEvent]] = defaultdict(list)
-        for h in by_id.values():
-            by_start[h.segment.from_activity].append(h)
+        for g in by_id.values():
+            by_start[g.segment.from_activity].append(g)
+        junctions = {}
+        for activity, candidates in by_start.items():
+            candidates.sort(key=lambda g: g.start_spread[0])
+            starts = [g.start_spread[0] for g in candidates]
+            span = max(timedelta(0), *(g.start_spread[1] - g.start_spread[0] for g in candidates))
+            junctions[activity] = (candidates, starts, span)
         successors: dict[int, tuple[int, ...]] = {}
         for h in by_id.values():
-            succ = [
-                g.id
-                for g in by_start.get(h.segment.to_activity, ())
-                if propagates(h, g, lam)
-            ]
-            successors[h.id] = tuple(sorted(succ))
+            candidates, starts, span = junctions.get(h.segment.to_activity, ([], [], timedelta(0)))
+            e0, e1 = h.end_spread
+            # a start spread holding [e0, e1] starts in [e1 - span, e0], one
+            # inside it starts in [e0, e1]: nobody outside the window overlaps
+            lo = bisect.bisect_left(starts, min(e0, e1 - span))
+            hi = bisect.bisect_right(starts, e1)
+            successors[h.id] = tuple(
+                sorted(g.id for g in candidates[lo:hi] if propagates(h, g, lam))
+            )
         return cls(hles=by_id, successors=successors)
 
     def edges(self) -> Iterator[tuple[int, int]]:

@@ -22,7 +22,7 @@ from .correlation import (
 )
 from .detection import HighLevelEvent, ThresholdTable, compute_thresholds, detect_hles
 from .errors import ConfigError
-from .event_log import EventLog, derive_steps, select_top_segments
+from .event_log import EventLog
 from .framing import Framing, StepIndex, build_indices, parse_duration
 from .linkage import (
     Episode,
@@ -79,11 +79,7 @@ def make_framing(log: EventLog, config: RunConfig) -> Framing:
 
 def run_detect(log: EventLog, config: RunConfig) -> DetectResult:
     framing = make_framing(log, config)
-    segments = None
-    if config.top_segments is not None:
-        _, counts = derive_steps(log)
-        segments = select_top_segments(counts, config.top_segments)
-    index = build_indices(log, framing, segments)
+    index = build_indices(log, framing, top_segments=config.top_segments)
     delay_thresholds = compute_delay_thresholds(index, config.delay_percentile)
     blacklist = frozenset(config.blacklist)
     thresholds = compute_thresholds(

@@ -165,6 +165,63 @@ def test_link_rejects_repeated_event_id(staged, tmp_path, capsys):
     assert "error: duplicate high-level event ids" in capsys.readouterr().err
 
 
+def _drop(key):
+    return lambda line: json.dumps({k: v for k, v in json.loads(line).items() if k != key})
+
+
+HLE_DEFECTS = {
+    "json": (lambda line: line.replace(",", "", 1), "not valid JSON"),
+    "missing-key": (_drop("theta"), "high-level event lacks 'theta'"),
+    "reversed-spread": (
+        lambda line: json.dumps({**json.loads(line), "start_spread": [
+            "2024-01-02T00:00:00+00:00", "2024-01-01T00:00:00+00:00"]}),
+        "malformed high-level event: a spread starts after it ends",
+    ),
+}
+
+
+def _with_defect_on_line_2(source, target, defect):
+    lines = source.read_text().splitlines()
+    lines[1] = defect(lines[1])
+    target.write_text("\n".join(lines) + "\n")
+
+
+@pytest.mark.parametrize("defect, message", HLE_DEFECTS.values(), ids=HLE_DEFECTS)
+def test_link_and_correlate_reject_malformed_hles(staged, tmp_path, capsys, defect, message):
+    _, log, _, det, lnk = staged
+    hles = tmp_path / "hles.jsonl"
+    _with_defect_on_line_2(det / "hles.jsonl", hles, defect)
+    assert main(["link", "--hles", str(hles), "--out", str(tmp_path / "out")]) == 1
+    assert f"error: line 2: {message}" in capsys.readouterr().err
+    assert main([
+        "correlate", "--input", str(log), "--hles", str(hles),
+        "--episodes", str(lnk / "episodes.jsonl"), "--out", str(tmp_path / "out"),
+        "--success-activity", "approved",
+    ]) == 1
+    assert f"error: line 2: {message}" in capsys.readouterr().err
+
+
+EPISODE_DEFECTS = {
+    "json": (lambda line: line.replace(",", "", 1), "not valid JSON"),
+    "missing-key": (_drop("union_cases"), "episode lacks 'union_cases'"),
+    "unknown-id": (lambda line: json.dumps({**json.loads(line), "ids": [999]}),
+                   "episode references unknown high-level event 999"),
+}
+
+
+@pytest.mark.parametrize("defect, message", EPISODE_DEFECTS.values(), ids=EPISODE_DEFECTS)
+def test_correlate_rejects_malformed_episodes(staged, tmp_path, capsys, defect, message):
+    _, log, _, det, lnk = staged
+    episodes = tmp_path / "episodes.jsonl"
+    _with_defect_on_line_2(lnk / "episodes.jsonl", episodes, defect)
+    assert main([
+        "correlate", "--input", str(log), "--hles", str(det / "hles.jsonl"),
+        "--episodes", str(episodes), "--out", str(tmp_path / "out"),
+        "--success-activity", "approved",
+    ]) == 1
+    assert f"error: line 2: {message}" in capsys.readouterr().err
+
+
 def test_build_config_precedence(tmp_path):
     cfg_file = tmp_path / "run.yaml"
     with open(cfg_file, "w") as fp:

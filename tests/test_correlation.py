@@ -13,7 +13,6 @@ from hlpaths.correlation import (
     benjamini_hochberg,
     bin_cases,
     chi_square,
-    contains_infix,
     critical_value,
     derive_outcome,
     derive_throughput,
@@ -37,17 +36,6 @@ from hlpaths.patterns import FeatureType, compute_delay_thresholds
 from oracles import o_has_infix, o_rank_paths, o_traces
 
 EXIT = FeatureType.EXIT
-
-
-def test_contains_infix():
-    seq = ("a", "b", "c", "b", "c")
-    assert contains_infix(seq, ("b", "c"))
-    assert contains_infix(seq, ("c", "b", "c"))
-    assert contains_infix(seq, ())
-    assert not contains_infix(seq, ("c", "a"))
-    assert not contains_infix(("a",), ("a", "b"))
-    # contiguous only — no gaps allowed
-    assert not contains_infix(("a", "x", "b"), ("a", "b"))
 
 
 def mk_hle(hid, frm, to, cases):
@@ -279,6 +267,30 @@ def _random_grouped(seed):
     return log, group_episodes_by_path(episodes)
 
 
+def assert_rank_paths_match_oracle(log, grouped, classes, order, tag):
+    """rank_paths equals the per-path rescan of every case; returns the
+    number of tested and of skipped paths."""
+    want = o_rank_paths(log, grouped, classes, order)
+    got = rank_paths(log, grouped, classes, class_order=order)
+    assert {a.path for a in got} == set(want), tag
+    for a in got:
+        freq, n_p, n_n, cols, counts, p, q, sig = want[a.path]
+        assert (a.frequency, a.n_participating, a.n_non_participating) \
+            == (freq, n_p, n_n), (tag, a.path)
+        assert a.significant == sig, (tag, a.path)
+        if cols is None:
+            assert a.result is None and a.skipped_reason, (tag, a.path)
+            continue
+        assert a.table.col_labels == cols, (tag, a.path)
+        assert [list(r) for r in a.table.counts] == counts, (tag, a.path)
+        assert a.result.p_value == pytest.approx(p, rel=1e-9, abs=1e-12)
+        assert a.q_value == pytest.approx(q, rel=1e-9, abs=1e-12)
+    n_tested = sum(a.result is not None for a in got)
+    ranked = [(a.result.p_value, -a.frequency, a.path.label()) for a in got[:n_tested]]
+    assert ranked == sorted(ranked) and all(a.result is None for a in got[n_tested:])
+    return n_tested, len(got) - n_tested
+
+
 def test_rank_paths_matches_oracle():
     """rank_paths equals a per-path rescan of every case, over outcome and
     binned-throughput attributes, with and without a class order that
@@ -301,25 +313,50 @@ def test_rank_paths_matches_oracle():
             (outcome, ("failure", "withdrawn", "success")),
             (binned, binning.labels + ("unbinned",)),
         ):
-            want = o_rank_paths(log, grouped, classes, order)
-            got = rank_paths(log, grouped, classes, class_order=order)
-            assert {a.path for a in got} == set(want), seed
-            for a in got:
-                freq, n_p, n_n, cols, counts, p, q, sig = want[a.path]
-                assert (a.frequency, a.n_participating, a.n_non_participating) \
-                    == (freq, n_p, n_n), (seed, a.path)
-                assert a.significant == sig, (seed, a.path)
-                if cols is None:
-                    assert a.result is None and a.skipped_reason, (seed, a.path)
-                    seen["skipped"] += 1
-                    continue
-                assert a.table.col_labels == cols, (seed, a.path)
-                assert [list(r) for r in a.table.counts] == counts, (seed, a.path)
-                assert a.result.p_value == pytest.approx(p, rel=1e-9, abs=1e-12)
-                assert a.q_value == pytest.approx(q, rel=1e-9, abs=1e-12)
-                seen["tested"] += 1
-            n_tested = sum(a.result is not None for a in got)
-            ranked = [(a.result.p_value, -a.frequency, a.path.label()) for a in got[:n_tested]]
-            assert ranked == sorted(ranked) and all(a.result is None for a in got[n_tested:])
+            tested, skipped = assert_rank_paths_match_oracle(log, grouped, classes, order, seed)
+            seen["tested"] += tested
+            seen["skipped"] += skipped
     # the random logs must reach every branch the comparison depends on
     assert all(seen.values()), seen
+
+
+def test_chain_traversers_match_brute_force():
+    """Every wanted chain's traversers come from one pass over the variants:
+    chains of several lengths in one call, a chain repeated inside one
+    variant (rework), chains longer than some variants and chains equal to
+    a whole variant."""
+    variants = {
+        "c1": "abab", "c2": "abab", "c3": "ab", "c4": "abc", "c5": "babcd",
+        "c6": "a", "c7": "abcd", "c8": "xab", "c9": "cdab", "c10": "bab",
+        "c11": "acbc",  # holds a, b and c, but no chain contiguously
+    }
+    log = mk_log([
+        (case, activity, "r1", 10 * k)
+        for case, trace in variants.items() for k, activity in enumerate(trace)
+    ])
+    shapes = {  # path segments -> episodes' common cases
+        ("ab",): ({"c1", "c6"}, {"c8"}),
+        ("ab", "bc"): ({"c4"},),
+        ("ab", "ba", "ab"): ({"c2"},),
+        ("ba", "ab"): ({"c10", "c3"},),
+        ("ab", "bc", "cd"): ({"c7"},),
+        ("cd",): ({"c9"},),
+    }
+    grouped = {}
+    for segments, commons in shapes.items():
+        episodes = []
+        for hid, common in enumerate(commons):
+            hles = tuple(mk_hle(hid, s[0], s[1], common) for s in segments)
+            episodes.append(Episode(hles=hles, common_cases=frozenset(common),
+                                    union_cases=frozenset(common)))
+        grouped[episodes[0].path] = episodes
+    traces = o_traces(log)
+    for path, episodes in grouped.items():
+        chain = list(path.activity_chain())
+        part = participating_cases(path, grouped)
+        assert non_participating_cases(log, path, part) == {
+            c for c, seq in traces.items() if c not in part and o_has_infix(seq, chain)
+        }, path.label()
+    outcome = {case: ("success" if int(case[1:]) % 2 else "failure") for case in variants}
+    tested, skipped = assert_rank_paths_match_oracle(log, grouped, outcome, None, "hand-made")
+    assert tested and skipped

@@ -5,8 +5,11 @@ from datetime import datetime, timedelta, timezone
 import pytest
 
 from conftest import T0, mk_log
+from hlpaths import framing as framing_module
+from hlpaths import pipeline
+from hlpaths.config import RunConfig
 from hlpaths.errors import ConfigError
-from hlpaths.event_log import Segment
+from hlpaths.event_log import Segment, derive_steps
 from hlpaths.framing import (
     Coordinate,
     Framing,
@@ -138,3 +141,32 @@ def test_step_index_respects_segment_selection():
     assert idx.steps_of(Segment("b", "c")) == ()
     # window range still spans all events, not just selected-segment steps
     assert idx.window_range == range(0, 1)
+    # the most frequent segment wins; a rework loop makes a->b the top one
+    rework = mk_log([
+        ("c1", "a", "r1", 0), ("c1", "b", "r1", 10), ("c1", "a", "r1", 20),
+        ("c1", "b", "r1", 30), ("c1", "c", "r1", 40),
+    ])
+    top = build_indices(rework, Framing(width=DAY, origin=T0), top_segments=1)
+    assert top.segments == {Segment("a", "b")}
+    with pytest.raises(ValueError, match="not both"):
+        build_indices(rework, Framing(width=DAY, origin=T0), {Segment("a", "b")},
+                      top_segments=1)
+
+
+@pytest.mark.parametrize("top_segments", [None, 2])
+def test_run_detect_derives_steps_once(monkeypatch, top_segments):
+    calls = []
+
+    def counted(log):
+        calls.append(log)
+        return derive_steps(log)
+
+    for module in (framing_module, pipeline):
+        monkeypatch.setattr(module, "derive_steps", counted, raising=False)
+    log = mk_log([
+        ("c1", "a", "r1", 0), ("c1", "b", "r1", 10), ("c1", "c", "r1", 20),
+        ("c2", "a", "r2", 30), ("c2", "b", "r1", 40),
+    ])
+    result = pipeline.run_detect(log, RunConfig(top_segments=top_segments))
+    assert len(calls) == 1
+    assert len(result.index.segments) == 2

@@ -1,5 +1,6 @@
 """Propagation predicates, episode enumeration, path projection."""
 
+import random
 from datetime import timedelta
 
 import pytest
@@ -97,6 +98,55 @@ def test_graph_build_and_lambda_guard():
         PropagationGraph.build([h0, h1, h0], 0.5)
     # a one-shot iterable is read once
     assert PropagationGraph.build(iter([h0, h1, h2]), 0.5).successors == graph.successors
+
+
+def brute_force_successors(hles, lam):
+    return {h.id: tuple(sorted(g.id for g in hles if propagates(h, g, lam))) for h in hles}
+
+
+@pytest.mark.parametrize("hles, edge", [
+    # g starts with h's end spread and ends inside it: shorter than h's
+    ([mk_hle(0, "a", "b", {"c1"}, end=(10, 30)),
+      mk_hle(1, "b", "c", {"c1"}, start=(10, 20))], (0, 1)),
+    # g's long start spread holds h's end spread and starts well before it
+    ([mk_hle(0, "a", "b", {"c1"}, end=(40, 50)),
+      mk_hle(1, "b", "c", {"c1"}, start=(0, 100))], (0, 1)),
+    # a zero-length start spread exactly at the end of h's end spread
+    ([mk_hle(0, "a", "b", {"c1"}, end=(10, 30)),
+      mk_hle(1, "b", "c", {"c1"}, start=(30, 30))], (0, 1)),
+    # equal times on another junction never link
+    ([mk_hle(0, "a", "b", {"c1"}, end=(10, 30)),
+      mk_hle(1, "x", "c", {"c1"}, start=(10, 30))], None),
+], ids=["same-start-shorter", "long-holder", "zero-length-at-end", "other-junction"])
+def test_graph_build_window_edges(hles, edge):
+    graph = PropagationGraph.build(hles, 0.5)
+    assert graph.successors == brute_force_successors(hles, 0.5)
+    assert list(graph.edges()) == ([edge] if edge else [])
+
+
+def test_graph_build_matches_brute_force_on_random_events():
+    """Mixed spread lengths on three junctions, with the long spreads that
+    enter-type events have, against every pair tested by ``propagates``."""
+    rng = random.Random(11)
+    cases = [f"c{i}" for i in range(6)]
+    n_edges = 0
+
+    def spread():
+        lo = rng.randint(0, 300)
+        return (lo, lo + rng.choice([0, 0, 1, 3, 10, 40, 250]))
+
+    for _ in range(40):
+        hles = [
+            mk_hle(hid, rng.choice("abc"), rng.choice("abc"),
+                   set(rng.sample(cases, rng.randint(1, 4))),
+                   start=spread(), end=spread(), theta=hid)
+            for hid in range(rng.randint(2, 60))
+        ]
+        lam = rng.choice([0.0, 0.3, 0.5])
+        graph = PropagationGraph.build(hles, lam)
+        assert graph.successors == brute_force_successors(hles, lam)
+        n_edges += graph.n_edges
+    assert n_edges > 0
 
 
 # three-event chain where the two episode conditions disagree:
