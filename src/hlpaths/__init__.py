@@ -9,74 +9,27 @@ groups them by the high-level path they follow. Correlation then asks
 whether participating in a path goes together with a case-level attribute
 such as the outcome or the throughput time, via Pearson's chi-square test
 with Benjamini-Hochberg adjustment across paths.
+
+The package root exports the stages, the pieces the demos call, the
+result records and the errors. Everything else is importable from its
+module; :mod:`hlpaths.io` holds the file formats.
 """
+
 
 from .config import RunConfig
 from .correlation import (
     AttributeBinning,
-    ChiSquareResult,
-    ContingencyTable,
-    PathAssociation,
-    benjamini_hochberg,
     bin_cases,
-    chi_square,
-    critical_value,
     derive_outcome,
     derive_throughput,
-    non_participating_cases,
-    participating_cases,
     rank_paths,
 )
-from .detection import (
-    HighLevelEvent,
-    ThresholdTable,
-    compute_thresholds,
-    detect_hles,
-    read_hles,
-    summarize_by_type,
-    write_hles,
-)
+from .detection import compute_thresholds, detect_hles, summarize_by_type
 from .errors import ConfigError, LogParseError, SpecError
-from .event_log import (
-    CsvSchema,
-    Event,
-    EventLog,
-    Segment,
-    Step,
-    derive_steps,
-    parse_csv,
-    parse_timestamp,
-    parse_xes,
-    read_jsonl,
-    select_top_segments,
-    write_csv,
-    write_jsonl,
-)
-from .framing import (
-    Coordinate,
-    Framing,
-    StepIndex,
-    Window,
-    build_indices,
-    parse_duration,
-    windows_of_log,
-)
-from .linkage import (
-    Episode,
-    HighLevelPath,
-    PropagationGraph,
-    enumerate_episodes,
-    group_episodes_by_path,
-    jaccard,
-    propagates,
-)
-from .patterns import (
-    FeatureType,
-    compute_delay_thresholds,
-    evaluate_pattern,
-    nearest_rank,
-    segment_delay_threshold,
-)
+from .event_log import derive_steps, parse_csv, parse_xes, write_csv
+from .framing import Framing, build_indices, parse_duration, windows_of_log
+from .linkage import PropagationGraph, enumerate_episodes
+from .patterns import compute_delay_thresholds
 from .pipeline import (
     CorrelateResult,
     DetectResult,
@@ -87,79 +40,42 @@ from .pipeline import (
     run_detect,
     run_link,
 )
-from .synthgen import GroundTruth, Injection, InjectionSpec, LogSpec, demo_spec, generate_log
+from .synthgen import demo_spec, generate_log
 
 __version__ = "0.1.0"
 
 __all__ = [
     "AttributeBinning",
-    "ChiSquareResult",
     "ConfigError",
-    "ContingencyTable",
-    "Coordinate",
     "CorrelateResult",
-    "CsvSchema",
     "DetectResult",
-    "Episode",
-    "Event",
-    "EventLog",
-    "FeatureType",
     "Framing",
-    "GroundTruth",
-    "HighLevelEvent",
-    "HighLevelPath",
-    "Injection",
-    "InjectionSpec",
     "LinkResult",
     "LogParseError",
-    "LogSpec",
-    "PathAssociation",
     "PipelineResult",
     "PropagationGraph",
     "RunConfig",
-    "Segment",
     "SpecError",
-    "Step",
-    "StepIndex",
-    "ThresholdTable",
-    "Window",
-    "benjamini_hochberg",
     "bin_cases",
     "build_indices",
-    "chi_square",
     "compute_delay_thresholds",
     "compute_thresholds",
-    "critical_value",
     "demo_spec",
     "derive_outcome",
     "derive_steps",
     "derive_throughput",
     "detect_hles",
     "enumerate_episodes",
-    "evaluate_pattern",
     "generate_log",
-    "group_episodes_by_path",
-    "jaccard",
-    "nearest_rank",
-    "non_participating_cases",
     "parse_csv",
     "parse_duration",
-    "parse_timestamp",
     "parse_xes",
-    "participating_cases",
-    "propagates",
     "rank_paths",
-    "read_hles",
-    "read_jsonl",
     "run_all",
     "run_correlate",
     "run_detect",
     "run_link",
-    "segment_delay_threshold",
-    "select_top_segments",
     "summarize_by_type",
     "windows_of_log",
     "write_csv",
-    "write_hles",
-    "write_jsonl",
 ]

@@ -3,7 +3,9 @@
 Five subcommands mirror the pipeline: ``generate`` a synthetic log,
 ``detect`` high-level events, ``link`` them into episodes and paths,
 ``correlate`` path participation with a case attribute, and ``report``
-for the whole chain in one go.
+for the whole chain in one go. Each one reads its configuration, loads
+its inputs, runs its stage and hands the results to the writers of
+:mod:`hlpaths.io`, which owns every output format.
 
 Exit codes: 0 on success, 1 on data or runtime failure, 2 on bad usage
 or configuration.
@@ -12,13 +14,11 @@ or configuration.
 from __future__ import annotations
 
 import argparse
-import csv
-import json
 import sys
 from pathlib import Path
 
 from .config import ATTRIBUTES, RunConfig
-from .detection import read_hles, summarize_by_type, write_hles
+from .detection import summarize_by_type
 from .errors import ConfigError, LogParseError, SpecError
 from .event_log import (
     CsvSchema,
@@ -27,8 +27,19 @@ from .event_log import (
     parse_xes,
     write_csv,
 )
-from .linkage import EPISODE_CONDITIONS, Episode, group_episodes_by_path
-from .pipeline import run_correlate, run_detect, run_link
+from .io import (
+    read_episodes,
+    read_hles,
+    write_associations,
+    write_detect_summary,
+    write_episodes,
+    write_hles,
+    write_paths,
+    write_report_summary,
+    write_truth,
+)
+from .linkage import EPISODE_CONDITIONS, group_episodes_by_path
+from .pipeline import run_all, run_correlate, run_detect, run_link
 from .synthgen import demo_spec, generate_log
 
 _CONFIG_FLAGS = (
@@ -124,34 +135,22 @@ def _out_dir(args: argparse.Namespace) -> Path:
 
 # --- subcommands ------------------------------------------------------------
 
+def _write(path: Path, writer, *data) -> None:
+    """Write ``data`` to ``path`` with one of the :mod:`hlpaths.io` writers."""
+    with open(path, "w", encoding="utf-8", newline="") as fp:
+        writer(*data, fp)
+
+
+def _read_hles(path: str) -> list:
+    with open(path, "r", encoding="utf-8") as fp:
+        return list(read_hles(fp))
+
+
 def cmd_generate(args: argparse.Namespace) -> int:
-    spec = demo_spec()
-    log, truth = generate_log(spec, args.seed)
+    log, truth = generate_log(demo_spec(), args.seed)
     write_csv(log, args.out)
     if args.truth:
-        with open(args.truth, "w", encoding="utf-8") as fp:
-            json.dump(
-                {
-                    "seed": truth.seed,
-                    "origin": spec.start.isoformat(),
-                    "window_seconds": spec.window_width.total_seconds(),
-                    "activities": list(spec.activities),
-                    "success_activity": spec.success_activity,
-                    "outcomes": truth.outcomes,
-                    "injections": [
-                        {
-                            "type": inj.ftype.value,
-                            "segment": list(inj.segment),
-                            "theta": inj.theta if isinstance(inj.theta, int) else list(inj.theta),
-                            "success_bias": inj.success_bias,
-                            "cases": sorted(inj.cases),
-                        }
-                        for inj in truth.injections
-                    ],
-                },
-                fp,
-                indent=2,
-            )
+        _write(Path(args.truth), write_truth, truth)
     print(f"wrote {len(log)} events, {len(log.cases)} cases to {args.out}")
     return 0
 
@@ -161,22 +160,8 @@ def cmd_detect(args: argparse.Namespace) -> int:
     log = load_log(args)
     result = run_detect(log, config)
     out = _out_dir(args)
-    with open(out / "hles.jsonl", "w", encoding="utf-8") as fp:
-        write_hles(result.hles, fp)
-    with open(out / "summary.csv", "w", encoding="utf-8", newline="") as fp:
-        writer = csv.writer(fp)
-        writer.writerow(["type", "from", "to", "hles", "threshold", "delay_threshold"])
-        by_key: dict[tuple, int] = {}
-        for h in result.hles:
-            by_key[(h.ftype, h.segment)] = by_key.get((h.ftype, h.segment), 0) + 1
-        for (ftype, segment), thr in sorted(
-            result.thresholds.values.items(), key=lambda kv: (kv[0][0].value, kv[0][1])
-        ):
-            writer.writerow([
-                ftype.value, segment.from_activity, segment.to_activity,
-                by_key.get((ftype, segment), 0), thr,
-                result.delay_thresholds.get(segment, ""),
-            ])
+    _write(out / "hles.jsonl", write_hles, result.hles)
+    _write(out / "summary.csv", write_detect_summary, result)
     counts = summarize_by_type(result.hles)
     total = sum(counts.values())
     print(f"{total} high-level events across {len(result.index.segments)} segments")
@@ -186,98 +171,18 @@ def cmd_detect(args: argparse.Namespace) -> int:
     return 0
 
 
-def _write_episodes(path: Path, episodes: list[Episode]) -> None:
-    with open(path, "w", encoding="utf-8") as fp:
-        for ep in episodes:
-            fp.write(json.dumps({
-                "ids": list(ep.ids),
-                "common_cases": sorted(ep.common_cases),
-                "union_cases": sorted(ep.union_cases),
-            }) + "\n")
-
-
-def _read_episodes(path: Path, hles_path: Path) -> list[Episode]:
-    with open(hles_path, "r", encoding="utf-8") as fp:
-        by_id = {h.id: h for h in read_hles(fp)}
-    episodes = []
-    with open(path, "r", encoding="utf-8") as fp:
-        for line_no, line in enumerate(fp, start=1):
-            if not line.strip():
-                continue
-            try:
-                obj = json.loads(line)
-                ids = obj["ids"]
-                unknown = [i for i in ids if i not in by_id]
-                common = frozenset(obj["common_cases"])
-                union = frozenset(obj["union_cases"])
-            except json.JSONDecodeError as exc:
-                raise LogParseError(f"not valid JSON: {exc.msg}", line=line_no) from None
-            except KeyError as exc:
-                raise LogParseError(f"episode lacks {exc}", line=line_no) from None
-            except TypeError as exc:
-                raise LogParseError(f"malformed episode: {exc}", line=line_no) from None
-            if unknown:
-                raise LogParseError(
-                    f"episode references unknown high-level event {unknown[0]}", line=line_no
-                )
-            episodes.append(Episode(
-                hles=tuple(by_id[i] for i in ids), common_cases=common, union_cases=union,
-            ))
-    return episodes
-
-
-def _write_paths_csv(path: Path, grouped) -> None:
-    with open(path, "w", encoding="utf-8", newline="") as fp:
-        writer = csv.writer(fp)
-        writer.writerow(["path", "length", "episodes"])
-        ranked = sorted(grouped.items(), key=lambda kv: (-len(kv[1]), kv[0].label()))
-        for hl_path, eps in ranked:
-            writer.writerow([hl_path.label(), len(hl_path), len(eps)])
-
-
 def cmd_link(args: argparse.Namespace) -> int:
     config = build_config(args)
-    with open(args.hles, "r", encoding="utf-8") as fp:
-        hles = list(read_hles(fp))
-    result = run_link(hles, config)
+    result = run_link(_read_hles(args.hles), config)
     out = _out_dir(args)
-    _write_episodes(out / "episodes.jsonl", result.episodes)
-    _write_paths_csv(out / "paths.csv", result.grouped)
+    _write(out / "episodes.jsonl", write_episodes, result.episodes)
+    _write(out / "paths.csv", write_paths, result.grouped)
     print(
         f"{result.graph.n_edges} propagation edges, {len(result.episodes)} episodes, "
         f"{len(result.grouped)} distinct paths"
     )
     print(f"wrote {out / 'episodes.jsonl'} and {out / 'paths.csv'}")
     return 0
-
-
-def _associations_rows(associations) -> list[list]:
-    rows = []
-    for a in associations:
-        if a.result is None:
-            rows.append([
-                a.path.label(), len(a.path), a.frequency, a.n_participating,
-                a.n_non_participating, "", "", "", "", False, a.skipped_reason,
-            ])
-        else:
-            rows.append([
-                a.path.label(), len(a.path), a.frequency, a.n_participating,
-                a.n_non_participating,
-                f"{a.result.statistic:.4f}", a.result.dof,
-                f"{a.result.p_value:.6g}", f"{a.q_value:.6g}",
-                a.significant, "low expected counts" if a.result.low_expected else "",
-            ])
-    return rows
-
-
-def _write_associations(path: Path, associations) -> None:
-    with open(path, "w", encoding="utf-8", newline="") as fp:
-        writer = csv.writer(fp)
-        writer.writerow([
-            "path", "length", "episodes", "participating", "non_participating",
-            "chi2", "dof", "p", "q", "significant", "note",
-        ])
-        writer.writerows(_associations_rows(associations))
 
 
 def _print_top(associations, limit: int = 10) -> None:
@@ -301,11 +206,12 @@ def _print_top(associations, limit: int = 10) -> None:
 def cmd_correlate(args: argparse.Namespace) -> int:
     config = build_config(args)
     log = load_log(args)
-    episodes = _read_episodes(Path(args.episodes), Path(args.hles))
-    grouped = group_episodes_by_path(episodes)
-    result = run_correlate(log, grouped, config)
+    hles = _read_hles(args.hles)
+    with open(args.episodes, "r", encoding="utf-8") as fp:
+        episodes = read_episodes(fp, hles)
+    result = run_correlate(log, group_episodes_by_path(episodes), config)
     out = _out_dir(args)
-    _write_associations(out / "paths.csv", result.associations)
+    _write(out / "paths.csv", write_associations, result.associations)
     n_sig = sum(a.significant for a in result.associations)
     print(f"{n_sig} of {len(result.associations)} paths significant at alpha={config.alpha}")
     _print_top(result.associations)
@@ -316,34 +222,19 @@ def cmd_correlate(args: argparse.Namespace) -> int:
 def cmd_report(args: argparse.Namespace) -> int:
     config = build_config(args)
     log = load_log(args)
-    detect = run_detect(log, config)
-    link = run_link(detect.hles, config)
-    correlate = run_correlate(log, link.grouped, config)
+    result = run_all(log, config)
+    detect, link = result.detect, result.link
     out = _out_dir(args)
-    with open(out / "hles.jsonl", "w", encoding="utf-8") as fp:
-        write_hles(detect.hles, fp)
-    _write_episodes(out / "episodes.jsonl", link.episodes)
-    _write_associations(out / "paths.csv", correlate.associations)
-    with open(out / "summary.csv", "w", encoding="utf-8", newline="") as fp:
-        writer = csv.writer(fp)
-        writer.writerow(["measure", "value"])
-        writer.writerow(["events", len(log)])
-        writer.writerow(["cases", len(log.cases)])
-        writer.writerow(["segments", len(detect.index.segments)])
-        writer.writerow(["windows", len(detect.index.window_range)])
-        for name, n in summarize_by_type(detect.hles).items():
-            writer.writerow([f"hles_{name}", n])
-        writer.writerow(["hles_total", len(detect.hles)])
-        writer.writerow(["propagation_edges", link.graph.n_edges])
-        writer.writerow(["episodes", len(link.episodes)])
-        writer.writerow(["paths", len(link.grouped)])
-        writer.writerow(["paths_significant", sum(a.significant for a in correlate.associations)])
+    _write(out / "hles.jsonl", write_hles, detect.hles)
+    _write(out / "episodes.jsonl", write_episodes, link.episodes)
+    _write(out / "paths.csv", write_associations, result.correlate.associations)
+    _write(out / "summary.csv", write_report_summary, log, result)
     print(f"{len(log)} events, {len(log.cases)} cases, "
           f"{len(detect.index.window_range)} windows")
     print(f"{len(detect.hles)} high-level events; {len(link.episodes)} episodes; "
           f"{len(link.grouped)} paths")
     print(f"top paths by association with {config.attribute}:")
-    _print_top(correlate.associations)
+    _print_top(result.correlate.associations)
     print(f"wrote hles.jsonl, episodes.jsonl, paths.csv, summary.csv to {out}")
     return 0
 

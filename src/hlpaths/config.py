@@ -9,12 +9,14 @@ from __future__ import annotations
 
 import dataclasses
 from dataclasses import dataclass
+from datetime import datetime
 from typing import IO, Union
 
 import yaml
 
 from .detection import PAIR_POPULATIONS
-from .errors import ConfigError
+from .errors import ConfigError, LogParseError
+from .event_log import parse_timestamp
 from .linkage import EPISODE_CONDITIONS
 from .patterns import ALL_FEATURE_TYPES, FeatureType
 from .framing import parse_duration
@@ -45,6 +47,7 @@ class RunConfig:
 
     def __post_init__(self) -> None:
         parse_duration(self.window)  # raises ConfigError on nonsense
+        self.origin_time()
         if not 0 <= self.percentile <= 100:
             raise ConfigError(f"percentile must lie in [0, 100], got {self.percentile}")
         if not 0 <= self.delay_percentile <= 100:
@@ -77,6 +80,17 @@ class RunConfig:
             raise ConfigError(f"alpha must lie in (0, 1), got {self.alpha}")
         for t in self.types:
             FeatureType.parse(t)
+
+    def origin_time(self) -> datetime | None:
+        """``origin`` as a UTC timestamp; None anchors the frame at the log start."""
+        if self.origin is None:
+            return None
+        if isinstance(self.origin, str):
+            try:
+                return parse_timestamp(self.origin)
+            except LogParseError:
+                pass
+        raise ConfigError(f"origin is not an ISO timestamp: {self.origin!r}")
 
     def feature_types(self) -> tuple[FeatureType, ...]:
         return tuple(FeatureType.parse(t) for t in self.types)

@@ -10,13 +10,12 @@ their endpoint times.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass, field
 from datetime import datetime
-from typing import IO, Iterable, Iterator, Union
+from typing import Iterable
 
-from .errors import ConfigError, LogParseError
+from .errors import ConfigError
 from .event_log import Segment, Step
 from .framing import Coordinate, StepIndex, Theta
 from .patterns import (
@@ -170,62 +169,3 @@ def summarize_by_type(hles: Iterable[HighLevelEvent]) -> dict[str, int]:
         counts[h.ftype.value] += 1
     return counts
 
-
-# --- serialization ---------------------------------------------------------
-
-def _theta_to_json(theta: Theta) -> Union[int, list[int]]:
-    return theta if isinstance(theta, int) else list(theta)
-
-
-def hle_to_dict(h: HighLevelEvent) -> dict:
-    return {
-        "id": h.id,
-        "type": h.ftype.value,
-        "segment": list(h.segment),
-        "theta": _theta_to_json(h.theta),
-        "value": h.value,
-        "n_steps": len(h.steps),
-        "cases": sorted(h.cases),
-        "start_spread": [t.isoformat() for t in h.start_spread],
-        "end_spread": [t.isoformat() for t in h.end_spread],
-    }
-
-
-def hle_from_dict(d: dict) -> HighLevelEvent:
-    theta = d["theta"]
-    start = tuple(datetime.fromisoformat(t) for t in d["start_spread"])
-    end = tuple(datetime.fromisoformat(t) for t in d["end_spread"])
-    if start[0] > start[1] or end[0] > end[1]:
-        raise ValueError("a spread starts after it ends")
-    return HighLevelEvent(
-        id=int(d["id"]),
-        ftype=FeatureType.parse(d["type"]),
-        segment=Segment(*d["segment"]),
-        theta=theta if isinstance(theta, int) else (int(theta[0]), int(theta[1])),
-        value=float(d["value"]),
-        cases=frozenset(d["cases"]),
-        start_spread=(start[0], start[1]),
-        end_spread=(end[0], end[1]),
-    )
-
-
-def write_hles(hles: Iterable[HighLevelEvent], fp: IO[str]) -> None:
-    for h in hles:
-        fp.write(json.dumps(hle_to_dict(h), sort_keys=True) + "\n")
-
-
-def read_hles(fp: IO[str]) -> Iterator[HighLevelEvent]:
-    """The events of a JSON-lines file; a malformed line raises
-    :class:`LogParseError` with its 1-based line number."""
-    for line_no, line in enumerate(fp, start=1):
-        if not line.strip():
-            continue
-        try:
-            hle = hle_from_dict(json.loads(line))
-        except json.JSONDecodeError as exc:
-            raise LogParseError(f"not valid JSON: {exc.msg}", line=line_no) from None
-        except KeyError as exc:
-            raise LogParseError(f"high-level event lacks {exc}", line=line_no) from None
-        except (TypeError, ValueError, IndexError) as exc:
-            raise LogParseError(f"malformed high-level event: {exc}", line=line_no) from None
-        yield hle

@@ -7,9 +7,9 @@ From a log we derive *traces* (the per-case event sequences), *steps*
 (the (activity, activity) label of a step). Steps and segments are the
 spatial unit everything downstream works on.
 
-Supported inputs: CSV with a header row and configurable column names,
-flat XES, and the canonical JSON-lines dump produced by
-:func:`write_jsonl`.
+Supported inputs, plain or gzipped: CSV with a header row and
+configurable column names (:func:`parse_csv`, written back by
+:func:`write_csv`), and flat XES (:func:`parse_xes`).
 """
 
 from __future__ import annotations
@@ -17,7 +17,6 @@ from __future__ import annotations
 import csv
 import gzip
 import io
-import json
 import warnings
 import xml.etree.ElementTree as ET
 from collections import Counter
@@ -174,18 +173,10 @@ def parse_timestamp(raw: str) -> datetime:
     return ts.astimezone(timezone.utc)
 
 
-def merge_lifecycle(activity: str, lifecycle: str, case_mode: str = "upper") -> str:
+def merge_lifecycle(activity: str, lifecycle: str) -> str:
     """Combine an activity name with its lifecycle state, "activity|LIFECYCLE"."""
     life = lifecycle.strip()
-    if not life:
-        return activity
-    if case_mode == "upper":
-        life = life.upper()
-    elif case_mode == "lower":
-        life = life.lower()
-    elif case_mode != "keep":
-        raise ConfigError(f"unknown lifecycle case mode {case_mode!r}")
-    return f"{activity}|{life}"
+    return f"{activity}|{life.upper()}" if life else activity
 
 
 def _repair_case_times(
@@ -263,7 +254,6 @@ def parse_csv(
     schema: CsvSchema = CsvSchema(),
     *,
     duplicate_policy: str = "offset",
-    lifecycle_case: str = "upper",
 ) -> EventLog:
     """Load a CSV event log.
 
@@ -298,7 +288,7 @@ def parse_csv(
             raise LogParseError(str(exc), line=reader.line_num) from None
         activity = row[schema.activity].strip()
         if schema.lifecycle is not None:
-            activity = merge_lifecycle(activity, row[schema.lifecycle], lifecycle_case)
+            activity = merge_lifecycle(activity, row[schema.lifecycle])
         resource = row[schema.resource].strip() if schema.resource else ""
         attrs = tuple((c, row[c]) for c in extra_columns)
         raw_events.append(Event(
@@ -320,7 +310,6 @@ def parse_xes(
     source: str | Path | IO | bytes,
     *,
     duplicate_policy: str = "offset",
-    lifecycle_case: str = "upper",
 ) -> EventLog:
     """Load a flat XES log (string/date attributes of trace/event elements).
 
@@ -370,7 +359,7 @@ def parse_xes(
                     activity = fields.get("concept:name", "").strip()
                     lifecycle = fields.get("lifecycle:transition", "")
                     if lifecycle:
-                        activity = merge_lifecycle(activity, lifecycle, lifecycle_case)
+                        activity = merge_lifecycle(activity, lifecycle)
                     raw_events.append(Event(
                         id=f"e{counter}",
                         case=case,
@@ -421,51 +410,6 @@ def select_top_segments(segment_counts: Counter, k: int) -> set[Segment]:
         k = len(segment_counts)
     ranked = sorted(segment_counts.items(), key=lambda kv: (-kv[1], kv[0]))
     return {segment for segment, _ in ranked[:k]}
-
-
-def write_jsonl(log: EventLog, target: str | Path | IO) -> None:
-    """Canonical dump: one JSON object per line with the five core fields."""
-    own = isinstance(target, (str, Path))
-    stream = open(target, "w", encoding="utf-8") if own else target
-    try:
-        for event in log.events:
-            stream.write(json.dumps({
-                "id": event.id,
-                "case": event.case,
-                "activity": event.activity,
-                "resource": event.resource,
-                "time": event.time.isoformat(),
-            }, sort_keys=True))
-            stream.write("\n")
-    finally:
-        if own:
-            stream.close()
-
-
-def read_jsonl(source: str | Path | IO) -> EventLog:
-    """Load a canonical JSON-lines dump written by :func:`write_jsonl`."""
-    own = isinstance(source, (str, Path))
-    stream = open(source, "r", encoding="utf-8") if own else source
-    events = []
-    try:
-        for line_no, line in enumerate(stream, start=1):
-            if not line.strip():
-                continue
-            try:
-                obj = json.loads(line)
-            except json.JSONDecodeError as exc:
-                raise LogParseError(f"bad JSON: {exc}", line=line_no) from None
-            events.append(Event(
-                id=obj["id"],
-                case=obj["case"],
-                activity=obj["activity"],
-                resource=obj.get("resource", ""),
-                time=parse_timestamp(obj["time"]),
-            ))
-    finally:
-        if own:
-            stream.close()
-    return EventLog(events)
 
 
 def write_csv(

@@ -69,11 +69,6 @@ class Framing:
         return cls(width=width, origin=origin)
 
 
-def frame(framing: Framing, t: datetime) -> int:
-    """Window index of timestamp t."""
-    return framing.window_index(t)
-
-
 class Window(NamedTuple):
     index: int
     start: datetime

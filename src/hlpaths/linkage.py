@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import bisect
 import math
-from collections import Counter, defaultdict
+from collections import defaultdict
 from dataclasses import dataclass
 from datetime import timedelta
 from typing import Iterable, Iterator
@@ -179,6 +179,49 @@ def _episode_holds(
     return len(common) >= math.ceil(lam * min(sizes))
 
 
+def _extend(
+    graph: PropagationGraph,
+    episodes: list[Episode],
+    chain: list[int],
+    common: frozenset,
+    union: frozenset,
+    sizes: list[int],
+    max_len: int,
+    lam: float,
+    condition: str,
+    max_episodes: int | None,
+) -> None:
+    """Record ``chain`` if it holds, then every extension of it, in
+    pre-order. A module-level function rather than a closure, so that no
+    reference cycle keeps the episodes alive after the call."""
+    holds = _episode_holds(condition, lam, common, union, sizes)
+    if condition == "jaccard" and not holds:
+        return
+    if holds:
+        if max_episodes is not None and len(episodes) >= max_episodes:
+            raise RuntimeError(f"more than {max_episodes} episodes; tighten lambda or max_len")
+        episodes.append(
+            Episode(
+                hles=tuple(graph.hles[i] for i in chain),
+                common_cases=common,
+                union_cases=union,
+            )
+        )
+    if len(chain) >= max_len:
+        return
+    if condition == "min_fraction" and lam > 0 and not common:
+        return
+    in_chain = set(chain)
+    for nxt in graph.successors[chain[-1]]:
+        if nxt in in_chain:
+            continue
+        cases = graph.hles[nxt].cases
+        _extend(
+            graph, episodes, chain + [nxt], common & cases, union | cases,
+            sizes + [len(cases)], max_len, lam, condition, max_episodes,
+        )
+
+
 def enumerate_episodes(
     graph: PropagationGraph,
     *,
@@ -202,35 +245,12 @@ def enumerate_episodes(
     if max_len < 1:
         raise ConfigError(f"max episode length must be >= 1, got {max_len}")
     episodes: list[Episode] = []
-
-    def visit(chain: list[int], common: frozenset, union: frozenset, sizes: list[int]) -> None:
-        holds = _episode_holds(condition, lam, common, union, sizes)
-        if condition == "jaccard" and not holds:
-            return
-        if holds:
-            if max_episodes is not None and len(episodes) >= max_episodes:
-                raise RuntimeError(f"more than {max_episodes} episodes; tighten lambda or max_len")
-            episodes.append(
-                Episode(
-                    hles=tuple(graph.hles[i] for i in chain),
-                    common_cases=common,
-                    union_cases=union,
-                )
-            )
-        if len(chain) >= max_len:
-            return
-        if condition == "min_fraction" and lam > 0 and not common:
-            return
-        in_chain = set(chain)
-        for nxt in graph.successors[chain[-1]]:
-            if nxt in in_chain:
-                continue
-            cases = graph.hles[nxt].cases
-            visit(chain + [nxt], common & cases, union | cases, sizes + [len(cases)])
-
     for start in sorted(graph.hles):
         cases = graph.hles[start].cases
-        visit([start], cases, cases, [len(cases)])
+        _extend(
+            graph, episodes, [start], cases, cases, [len(cases)],
+            max_len, lam, condition, max_episodes,
+        )
     return episodes
 
 
@@ -242,6 +262,3 @@ def group_episodes_by_path(
         grouped[ep.path].append(ep)
     return dict(grouped)
 
-
-def path_frequencies(episodes: Iterable[Episode]) -> Counter:
-    return Counter(ep.path for ep in episodes)

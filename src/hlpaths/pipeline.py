@@ -8,7 +8,6 @@ something was or was not found.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from datetime import timezone, datetime
 from typing import Mapping
 
 from .config import RunConfig
@@ -66,15 +65,10 @@ class PipelineResult:
 
 def make_framing(log: EventLog, config: RunConfig) -> Framing:
     width = parse_duration(config.window)
-    if config.origin is None:
+    origin = config.origin_time()
+    if origin is None:
         return Framing.for_log(log, width)
-    try:
-        origin = datetime.fromisoformat(config.origin.replace("Z", "+00:00"))
-    except ValueError:
-        raise ConfigError(f"origin is not an ISO timestamp: {config.origin!r}") from None
-    if origin.tzinfo is None:
-        origin = origin.replace(tzinfo=timezone.utc)
-    return Framing(width=width, origin=origin.astimezone(timezone.utc))
+    return Framing(width=width, origin=origin)
 
 
 def run_detect(log: EventLog, config: RunConfig) -> DetectResult:

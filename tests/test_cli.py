@@ -116,6 +116,20 @@ def test_report_runs_whole_pipeline(staged, tmp_path):
     assert int(measures["paths"]) >= int(measures["paths_significant"])
 
 
+def test_report_files_equal_the_staged_ones(staged, tmp_path):
+    _, log, _, det, lnk = staged
+    flags = ["--input", str(log), "--percentile", "90", "--success-activity", "approved"]
+    assert main(["report", *flags, "--out", str(tmp_path / "rep")]) == 0
+    assert main([
+        "correlate", *flags, "--hles", str(det / "hles.jsonl"),
+        "--episodes", str(lnk / "episodes.jsonl"), "--out", str(tmp_path / "cor"),
+    ]) == 0
+    rep = tmp_path / "rep"
+    for staged_file, name in ((det, "hles.jsonl"), (lnk, "episodes.jsonl"),
+                              (tmp_path / "cor", "paths.csv")):
+        assert (rep / name).read_bytes() == (staged_file / name).read_bytes(), name
+
+
 def test_exit_codes(tmp_path, staged):
     _, log, _, det, _ = staged
     # unusable flag value -> config error -> 2
@@ -123,6 +137,9 @@ def test_exit_codes(tmp_path, staged):
                  "--percentile", "250"]) == 2
     assert main(["detect", "--input", str(log), "--out", str(tmp_path),
                  "--window", "fortnight"]) == 2
+    # a bad origin is refused before the log is read -> 2, not 1
+    assert main(["detect", "--input", str(tmp_path / "nope.csv"),
+                 "--out", str(tmp_path), "--origin", "garbage"]) == 2
     # missing input -> 1
     assert main(["detect", "--input", str(tmp_path / "nope.csv"),
                  "--out", str(tmp_path)]) == 1

@@ -1,6 +1,7 @@
 """RunConfig validation and YAML round-tripping."""
 
 import io
+from datetime import datetime, timezone
 
 import pytest
 
@@ -41,6 +42,28 @@ def test_field_validation():
         RunConfig(throughput_bins=1)
     with pytest.raises(ConfigError):
         RunConfig(alpha=0.0)
+
+
+def test_origin_parsed_up_front():
+    assert RunConfig(origin="2024-01-01T06:00:00Z").origin_time() == datetime(
+        2024, 1, 1, 6, tzinfo=timezone.utc
+    )
+    # naive means UTC, other offsets are converted
+    assert RunConfig(origin="2024-01-01 06:00").origin_time() == datetime(
+        2024, 1, 1, 6, tzinfo=timezone.utc
+    )
+    assert RunConfig(origin="2024-01-01T08:00:00+02:00").origin_time() == datetime(
+        2024, 1, 1, 6, tzinfo=timezone.utc
+    )
+    assert RunConfig().origin_time() is None
+    with pytest.raises(ConfigError, match="origin"):
+        RunConfig(origin="garbage")
+    with pytest.raises(ConfigError, match="origin"):
+        RunConfig.from_yaml(io.StringIO("origin: garbage\n"))
+    with pytest.raises(ConfigError, match="origin"):
+        RunConfig.from_yaml(io.StringIO("origin: 2024-01-01\n"))  # a YAML date, not a string
+    with pytest.raises(ConfigError, match="origin"):
+        RunConfig().replace(origin="2024-13-01")
 
 
 def test_types_subset():

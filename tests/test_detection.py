@@ -13,17 +13,10 @@ from datetime import timedelta
 import pytest
 
 from conftest import T0, mk_log
-from hlpaths.detection import (
-    compute_thresholds,
-    detect_hles,
-    hle_from_dict,
-    hle_to_dict,
-    read_hles,
-    summarize_by_type,
-    write_hles,
-)
+from hlpaths.detection import compute_thresholds, detect_hles, summarize_by_type
 from hlpaths.event_log import Segment
 from hlpaths.framing import Coordinate, Framing, build_indices
+from hlpaths.io import hle_from_dict, hle_to_dict, read_hles, write_hles
 from hlpaths.patterns import FeatureType, compute_delay_thresholds, evaluate_pattern
 from oracles import SINGLE_TYPES, o_threshold
 

@@ -18,10 +18,8 @@ from hlpaths.event_log import (
     parse_csv,
     parse_timestamp,
     parse_xes,
-    read_jsonl,
     select_top_segments,
     write_csv,
-    write_jsonl,
 )
 
 CSV = """case,activity,timestamp,resource
@@ -130,11 +128,7 @@ def test_parse_timestamp_variants():
 
 def test_merge_lifecycle_modes():
     assert merge_lifecycle("check", "complete") == "check|COMPLETE"
-    assert merge_lifecycle("check", "Complete", "lower") == "check|complete"
-    assert merge_lifecycle("check", "Complete", "keep") == "check|Complete"
     assert merge_lifecycle("check", "") == "check"
-    with pytest.raises(ConfigError):
-        merge_lifecycle("check", "complete", "title")
 
 
 def test_lifecycle_column_merged():
@@ -236,16 +230,6 @@ def test_select_top_segments_tie_break_and_warning():
     assert got == set(counts)
     with pytest.raises(ConfigError):
         select_top_segments(counts, 0)
-
-
-def test_jsonl_round_trip(tmp_path):
-    log = mk_log([("c1", "a", "r1", 0), ("c1", "b", "r2", 10), ("c2", "a", "", 5)])
-    path = tmp_path / "log.jsonl"
-    write_jsonl(log, path)
-    back = read_jsonl(path)
-    assert [(e.id, e.case, e.activity, e.resource, e.time) for e in back.events] == [
-        (e.id, e.case, e.activity, e.resource, e.time) for e in log.events
-    ]
 
 
 def test_csv_round_trip(tmp_path):

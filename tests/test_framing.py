@@ -14,7 +14,6 @@ from hlpaths.framing import (
     Coordinate,
     Framing,
     build_indices,
-    frame,
     parse_duration,
     windows_of_log,
 )
@@ -44,7 +43,6 @@ def test_window_index_left_closed_right_open():
     assert f.window_index(T0 + DAY - timedelta(microseconds=1)) == 0
     assert f.window_index(T0 + DAY) == 1  # boundary belongs to the next window
     assert f.window_index(T0 + timedelta(days=2, hours=13)) == 2
-    assert frame(f, T0 + DAY) == 1
 
 
 def test_window_index_before_origin_rejected():

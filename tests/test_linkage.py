@@ -1,5 +1,7 @@
 """Propagation predicates, episode enumeration, path projection."""
 
+import gc
+import io
 import random
 from datetime import timedelta
 
@@ -9,7 +11,9 @@ from conftest import T0
 from hlpaths.detection import HighLevelEvent
 from hlpaths.errors import ConfigError
 from hlpaths.event_log import Segment
+from hlpaths.io import read_episodes, read_hles, write_episodes, write_hles
 from hlpaths.linkage import (
+    EPISODE_CONDITIONS,
     Episode,
     HighLevelPath,
     PropagationGraph,
@@ -18,7 +22,6 @@ from hlpaths.linkage import (
     group_episodes_by_path,
     jaccard,
     location_overlap,
-    path_frequencies,
     propagates,
     time_overlap,
 )
@@ -205,6 +208,37 @@ def test_enumerate_guards(abc_graph):
         enumerate_episodes(abc_graph, lam=0.5, max_episodes=2)
 
 
+def test_episodes_round_trip_through_io(abc_graph):
+    episodes = enumerate_episodes(abc_graph, max_len=4, lam=0.5, condition="min_fraction")
+    hle_buf, ep_buf = io.StringIO(), io.StringIO()
+    write_hles(abc_graph.hles.values(), hle_buf)
+    write_episodes(episodes, ep_buf)
+    hle_buf.seek(0)
+    ep_buf.seek(0)
+    back = read_episodes(ep_buf, read_hles(hle_buf))
+    assert [ep.ids for ep in back] == [ep.ids for ep in episodes]
+    assert [ep.common_cases for ep in back] == [ep.common_cases for ep in episodes]
+    assert [ep.union_cases for ep in back] == [ep.union_cases for ep in episodes]
+    assert [ep.path for ep in back] == [ep.path for ep in episodes]
+
+
+def test_enumeration_leaves_no_reference_cycle(abc_graph):
+    # episodes must be freed by reference counting once the caller drops
+    # them, not linger until the cycle collector runs
+    flags = gc.get_debug()
+    gc.collect()
+    gc.set_debug(gc.DEBUG_SAVEALL)
+    try:
+        for condition in EPISODE_CONDITIONS:
+            assert enumerate_episodes(abc_graph, max_len=4, lam=0.5, condition=condition)
+        gc.collect()
+        leaked = [o for o in gc.garbage if isinstance(o, Episode)]
+    finally:
+        gc.set_debug(flags)
+        gc.garbage.clear()
+    assert leaked == []
+
+
 def test_path_projection_and_grouping():
     # two disjoint realizations of the same exit(a>b) => exit(b>c) shape
     eps = []
@@ -218,7 +252,6 @@ def test_path_projection_and_grouping():
         (EXIT, Segment("a", "b")), (EXIT, Segment("b", "c")),
     ))
     assert len(grouped[two_step]) == 2
-    assert path_frequencies(eps)[two_step] == 2
     assert {len(p) for p in grouped} == {1, 2}
 
 
