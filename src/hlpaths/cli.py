@@ -113,7 +113,7 @@ def load_log(args: argparse.Namespace) -> EventLog:
     path = Path(args.input)
     fmt = args.format
     if fmt is None:
-        fmt = "xes" if ".xes" in path.name.lower() else "csv"
+        fmt = "xes" if path.name.lower().endswith((".xes", ".xes.gz")) else "csv"
     if fmt == "xes":
         return parse_xes(path)
     schema = CsvSchema(

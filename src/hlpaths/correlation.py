@@ -20,7 +20,7 @@ from __future__ import annotations
 
 import bisect
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Iterable, Mapping, Sequence
 
 from scipy.special import gammaincc
@@ -344,16 +344,24 @@ def rank_paths(
         chain: (traversers, _class_row(traversers, classes, cols))
         for chain, traversers in _traversing_cases(_variant_index(log), chains.values()).items()
     }
-    tested: list[tuple[HighLevelPath, int, ContingencyTable, ChiSquareResult, int, int]] = []
-    skipped: list[tuple[HighLevelPath, int, int, int, str]] = []
+    tested: list[PathAssociation] = []
+    skipped: list[PathAssociation] = []
     for path in paths:
-        freq = len(grouped[path])
         part = participating_cases(path, grouped)
         traversers, traverser_row = by_chain[chains[path]]
         # participants need not traverse the chain (rework loops), so only
         # the overlap leaves the comparison group
         overlap = part & traversers
-        n_nonpart = len(traversers) - len(overlap)
+        untested = PathAssociation(
+            path=path,
+            frequency=len(grouped[path]),
+            n_participating=len(part),
+            n_non_participating=len(traversers) - len(overlap),
+            table=None,
+            result=None,
+            q_value=None,
+            significant=False,
+        )
         part_row = _class_row(part, classes, cols)
         nonpart_row = [t - o for t, o in zip(traverser_row, _class_row(overlap, classes, cols))]
         # drop attribute classes absent from both groups before testing
@@ -366,39 +374,14 @@ def rank_paths(
         try:
             result = chi_square(table)
         except ValueError as exc:
-            skipped.append((path, freq, len(part), n_nonpart, str(exc)))
+            skipped.append(replace(untested, skipped_reason=str(exc)))
             continue
-        tested.append((path, freq, table, result, len(part), n_nonpart))
+        tested.append(replace(untested, table=table, result=result))
 
-    q_values = benjamini_hochberg([t[3].p_value for t in tested])
+    q_values = benjamini_hochberg([a.result.p_value for a in tested])
     out = [
-        PathAssociation(
-            path=path,
-            frequency=freq,
-            n_participating=n_p,
-            n_non_participating=n_n,
-            table=table,
-            result=result,
-            q_value=q,
-            significant=q <= alpha,
-        )
-        for (path, freq, table, result, n_p, n_n), q in zip(tested, q_values)
+        replace(a, q_value=q, significant=q <= alpha) for a, q in zip(tested, q_values)
     ]
     out.sort(key=lambda a: (a.result.p_value, -a.frequency, a.path.label()))
-    out.extend(
-        PathAssociation(
-            path=path,
-            frequency=freq,
-            n_participating=n_p,
-            n_non_participating=n_n,
-            table=None,
-            result=None,
-            q_value=None,
-            significant=False,
-            skipped_reason=reason,
-        )
-        for path, freq, n_p, n_n, reason in sorted(
-            skipped, key=lambda s: (-s[1], s[0].label())
-        )
-    )
-    return out
+    # paths are in (-frequency, label) order already, so the skipped ones are too
+    return out + skipped

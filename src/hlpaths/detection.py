@@ -5,7 +5,9 @@ frame form a population; the detection threshold is that population's
 nearest-rank percentile. A coordinate whose value reaches the threshold —
 and is at least 1, so empty coordinates never fire — yields a high-level
 event carrying the participating steps, their cases and the spread of
-their endpoint times.
+their endpoint times. Thresholds and events both read the counted step
+lists of :func:`~hlpaths.patterns.counted_steps`, so each occupied
+coordinate is filtered once per stage.
 """
 
 from __future__ import annotations
@@ -17,14 +19,13 @@ from typing import Iterable
 
 from .errors import ConfigError
 from .event_log import Segment, Step
-from .framing import Coordinate, StepIndex, Theta
+from .framing import StepIndex, Theta
 from .patterns import (
     ALL_FEATURE_TYPES,
     DelayThresholds,
     FeatureType,
-    evaluate_pattern,
+    counted_steps,
     nearest_rank,
-    occupied_values,
 )
 
 PAIR_POPULATIONS = ("occupied", "all")
@@ -62,6 +63,16 @@ class HighLevelEvent:
         return (self.ftype, self.segment, self.theta)
 
 
+def _requested(
+    types: Iterable[FeatureType], delay_thresholds: DelayThresholds | None
+) -> list[FeatureType]:
+    """The requested types in declared order; delay needs its thresholds."""
+    requested = [t for t in ALL_FEATURE_TYPES if t in set(types)]
+    if FeatureType.DELAY in requested and delay_thresholds is None:
+        raise ValueError("delay pattern needs delay thresholds")
+    return requested
+
+
 def compute_thresholds(
     idx: StepIndex,
     p: float,
@@ -84,14 +95,12 @@ def compute_thresholds(
         raise ConfigError(
             f"pair_population must be one of {PAIR_POPULATIONS}, got {pair_population!r}"
         )
-    requested = [t for t in ALL_FEATURE_TYPES if t in set(types)]
-    if FeatureType.DELAY in requested and delay_thresholds is None:
-        raise ValueError("delay pattern needs delay thresholds")
+    requested = _requested(types, delay_thresholds)
     n_windows = len(idx.window_range)
     values: dict[tuple[FeatureType, Segment], float] = {}
     for segment in idx.sorted_segments():
         for ftype in requested:
-            occupied = occupied_values(
+            occupied = counted_steps(
                 ftype, segment, idx,
                 delay_thresholds=delay_thresholds, blacklist=blacklist,
             )
@@ -102,7 +111,8 @@ def compute_thresholds(
             else:
                 size = len(occupied)
             values[(ftype, segment)] = nearest_rank(
-                occupied.values(), p, zeros=size - len(occupied), past_end=math.inf
+                (float(len(steps)) for steps in occupied.values()),
+                p, zeros=size - len(occupied), past_end=math.inf,
             )
     return ThresholdTable(percentile=p, values=values)
 
@@ -120,44 +130,35 @@ def detect_hles(
 
     Ids are assigned in a deterministic scan order — feature type, then
     segment, then theta — so equal inputs give equal outputs. Only occupied
-    coordinates can reach 1, and only those that fire get a step set.
+    coordinates can reach 1; each is filtered once, and an event is built
+    from the very step list its value was compared on.
     """
     hles: list[HighLevelEvent] = []
-    requested = [t for t in ALL_FEATURE_TYPES if t in set(types)]
-    if FeatureType.DELAY in requested and delay_thresholds is None:
-        raise ValueError("delay pattern needs delay thresholds")
-    for ftype in requested:
+    for ftype in _requested(types, delay_thresholds):
         for segment in idx.sorted_segments():
             bar = max(thresholds.get(ftype, segment), 1.0)
             if math.isinf(bar):
                 continue
-            occupied = occupied_values(
+            occupied = counted_steps(
                 ftype, segment, idx,
                 delay_thresholds=delay_thresholds, blacklist=blacklist,
             )
-            for theta, value in occupied.items():
-                if value < bar:
+            for theta, steps in occupied.items():
+                if len(steps) < bar:
                     continue
-                result = evaluate_pattern(
-                    ftype,
-                    Coordinate(segment, theta),
-                    idx,
-                    delay_thresholds=delay_thresholds,
-                    blacklist=blacklist,
-                )
-                firsts = [s.first.time for s in result.steps]
-                seconds = [s.second.time for s in result.steps]
+                firsts = [s.first.time for s in steps]
+                seconds = [s.second.time for s in steps]
                 hles.append(
                     HighLevelEvent(
                         id=len(hles),
                         ftype=ftype,
                         segment=segment,
                         theta=theta,
-                        value=result.value,
-                        cases=frozenset(s.case for s in result.steps),
+                        value=float(len(steps)),
+                        cases=frozenset(s.case for s in steps),
                         start_spread=(min(firsts), max(firsts)),
                         end_spread=(min(seconds), max(seconds)),
-                        steps=result.steps,
+                        steps=frozenset(steps),
                     )
                 )
     return hles

@@ -179,53 +179,23 @@ def merge_lifecycle(activity: str, lifecycle: str) -> str:
     return f"{activity}|{life.upper()}" if life else activity
 
 
-def _repair_case_times(
-    events: list[Event], policy: str
-) -> tuple[list[Event], int]:
-    """Enforce strictly increasing timestamps within one case.
-
-    ``events`` must already be sorted by (time, input order). With policy
-    "offset", a colliding event is pushed 1 ms past its predecessor; with
-    "error", collisions raise.
-    """
-    repaired = 0
-    out: list[Event] = []
-    last: datetime | None = None
-    for event in events:
-        time = event.time
-        if last is not None and time <= last:
-            if policy == "error":
-                raise LogParseError(
-                    f"case {event.case!r}: duplicate timestamp {event.time} "
-                    f"(event {event.id!r})"
-                )
-            time = last + _MILLISECOND
-            event = Event(event.id, event.case, event.activity, event.resource,
-                          time, event.attrs)
-            repaired += 1
-        out.append(event)
-        last = time
-    return out, repaired
-
-
-def _finalize(
-    raw_events: list[Event],
-    extra_columns: Iterable[str],
-    duplicate_policy: str,
-) -> EventLog:
-    by_case: dict[str, list[Event]] = {}
-    for event in raw_events:
-        by_case.setdefault(event.case, []).append(event)
-    events: list[Event] = []
-    repaired = 0
-    for case in by_case:
-        # stable sort keeps input order among equal timestamps
-        case_events = sorted(by_case[case], key=lambda e: e.time)
-        case_events, n = _repair_case_times(case_events, duplicate_policy)
-        repaired += n
-        events.extend(case_events)
+def _finalize(raw_events: list[Event], extra_columns: Iterable[str]) -> EventLog:
+    """Sort the events by (case, time) and make every trace strictly
+    time-ordered: an event not later than its predecessor in the case is
+    pushed 1 ms past it, in input order (the sort is stable)."""
+    events = sorted(raw_events, key=lambda e: (e.case, e.time))
     if not events:
         raise LogParseError("log has no events")
+    repaired = 0
+    prev = events[0]
+    for i in range(1, len(events)):
+        event = events[i]
+        if event.case == prev.case and event.time <= prev.time:
+            event = Event(event.id, event.case, event.activity, event.resource,
+                          prev.time + _MILLISECOND, event.attrs)
+            events[i] = event
+            repaired += 1
+        prev = event
     if repaired:
         warnings.warn(
             f"offset {repaired} duplicate-timestamp event(s) by 1 ms to keep "
@@ -252,19 +222,16 @@ def _open_text(source: str | Path | IO) -> IO:
 def parse_csv(
     source: str | Path | IO | bytes,
     schema: CsvSchema = CsvSchema(),
-    *,
-    duplicate_policy: str = "offset",
 ) -> EventLog:
     """Load a CSV event log.
 
     Rows become events sorted by (case, time). When a lifecycle column is
-    configured, the activity is rewritten to "activity|LIFECYCLE". Events
-    of one case sharing a timestamp are either offset by 1 ms in input
-    order (``duplicate_policy="offset"``, the default, with a warning) or
-    rejected (``"error"``).
+    configured, the activity is rewritten to "activity|LIFECYCLE". An
+    event not later than the one before it in its case (repeated
+    timestamps) is moved 1 ms past that one, in input order, with one
+    warning giving the count; later events can cascade
+    (t, t, t+0.5 ms become t, t+1 ms, t+2 ms).
     """
-    if duplicate_policy not in ("offset", "error"):
-        raise ConfigError(f"unknown duplicate-timestamp policy {duplicate_policy!r}")
     stream = _open_text(source)
     reader = csv.DictReader(stream)
     if reader.fieldnames is None:
@@ -299,18 +266,14 @@ def parse_csv(
             time=time,
             attrs=attrs,
         ))
-    return _finalize(raw_events, extra_columns, duplicate_policy)
+    return _finalize(raw_events, extra_columns)
 
 
 def _localname(tag: str) -> str:
     return tag.rsplit("}", 1)[-1]
 
 
-def parse_xes(
-    source: str | Path | IO | bytes,
-    *,
-    duplicate_policy: str = "offset",
-) -> EventLog:
+def parse_xes(source: str | Path | IO | bytes) -> EventLog:
     """Load a flat XES log (string/date attributes of trace/event elements).
 
     concept:name of a trace maps to the case id (a trace without one raises
@@ -318,6 +281,7 @@ def parse_xes(
     to the activity, org:resource to the resource, time:timestamp to the
     timestamp and lifecycle:transition is merged into the activity name.
     Events without a timestamp are skipped (one warning with the count).
+    Repeated timestamps within a trace are offset as in :func:`parse_csv`.
     """
     if isinstance(source, (str, Path)):
         path = Path(source)
@@ -373,7 +337,7 @@ def parse_xes(
         raise LogParseError(f"not valid XML: {exc}") from None
     if skipped:
         warnings.warn(f"skipped {skipped} event(s) without a timestamp", stacklevel=2)
-    return _finalize(raw_events, (), duplicate_policy)
+    return _finalize(raw_events, ())
 
 
 def derive_steps(log: EventLog) -> tuple[tuple[Step, ...], Counter]:

@@ -18,6 +18,11 @@ Window-pair types:
 Every pattern value is the size of its step set. Steps with an empty or
 blacklisted resource on either endpoint still count for enter/exit/batch/
 delay but for neither workload nor handover.
+
+One filter decides which steps of an index bucket count:
+:func:`counted_steps` applies it to every occupied coordinate of a
+(type, segment), for thresholds and detection alike, and
+:func:`evaluate_pattern` to one coordinate.
 """
 
 from __future__ import annotations
@@ -165,25 +170,26 @@ def evaluate_pattern(
     return PatternResult(steps=step_set, value=float(len(step_set)))
 
 
-def occupied_values(
+def counted_steps(
     ftype: FeatureType,
     segment: Segment,
     idx: StepIndex,
     *,
     delay_thresholds: DelayThresholds | None = None,
     blacklist: frozenset[str] = frozenset(),
-) -> dict[Theta, float]:
-    """The type's value at every occupied coordinate of the segment, in
-    ascending theta order.
+) -> dict[Theta, Sequence[Step]]:
+    """The steps that count for the type at every occupied coordinate of
+    the segment, in ascending theta order.
 
     A coordinate is occupied when its entry window (enter), exit window
     (exit/workload/handover) or window pair (batch/delay) holds a step of
     the segment; the value is 0 at every other coordinate of the frame.
-    Values are counted, no step set is built. The value can still be 0
-    (workload, handover, delay).
+    The value at a coordinate is the length of its list, which can still
+    be 0 (workload, handover, delay). Thresholds rank these lengths and
+    detection builds each event from the same list.
     """
     return {
-        theta: float(len(_counted(ftype, segment, theta, bucket, delay_thresholds, blacklist)))
+        theta: _counted(ftype, segment, theta, bucket, delay_thresholds, blacklist)
         for theta, bucket in _buckets(ftype, segment, idx).items()
     }
 
@@ -193,14 +199,14 @@ def segment_delay_threshold(segment: Segment, idx: StepIndex, q: float) -> int:
 
     The q-th nearest-rank percentile (rounded up) of the window distances
     its steps take, floored at 1 — a distance of 0 must never count as
-    delayed.
+    delayed. The distances come from the index's (entry, exit) window
+    pairs, one per step.
     """
-    steps = idx.steps_of(segment)
-    if not steps:
+    pairs = idx.pairs_by_segment.get(segment)
+    if not pairs:
         raise ValueError(f"segment {segment} has no steps")
     distances = [
-        idx.framing.window_index(s.second.time) - idx.framing.window_index(s.first.time)
-        for s in steps
+        w_out - w_in for (w_in, w_out), steps in pairs.items() for _ in steps
     ]
     return max(1, math.ceil(nearest_rank(distances, q)))
 

@@ -1,6 +1,8 @@
-"""The package root exports every name the demos and the README import."""
+"""The package root exports every name the demos and the README import, and
+every name the benchmark traces still resolves."""
 
 import ast
+import importlib
 import re
 from pathlib import Path
 
@@ -42,3 +44,24 @@ def test_readme_imports_are_public():
     ]
     assert names
     assert set(names) <= set(hlpaths.__all__)
+
+
+def test_traced_names_resolve():
+    """Every (module, attribute) the benchmark's tracer wraps still exists,
+    so a refactor cannot silently drop a per-layer span."""
+    tracing = ROOT / "bench" / "tracing.py"
+    if not tracing.exists():
+        pytest.skip("bench/tracing.py is absent")
+    hooks = next(
+        node.value
+        for node in ast.parse(tracing.read_text(encoding="utf-8")).body
+        if isinstance(node, ast.Assign)
+        and any(isinstance(t, ast.Name) and t.id == "HOOKS" for t in node.targets)
+    )
+    names = [(hook.elts[0].value, hook.elts[1].value) for hook in hooks.elts]
+    assert names
+    for module, attribute in names:
+        target = importlib.import_module(module)
+        for part in attribute.split("."):
+            assert hasattr(target, part), f"{module}.{attribute}"
+            target = getattr(target, part)

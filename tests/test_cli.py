@@ -143,6 +143,10 @@ def test_exit_codes(tmp_path, staged):
     # missing input -> 1
     assert main(["detect", "--input", str(tmp_path / "nope.csv"),
                  "--out", str(tmp_path)]) == 1
+    # ".xes" inside the name of a CSV file does not pick the XES parser
+    xes_csv = tmp_path / "log.xes.csv"
+    assert main(["generate", "--seed", "3", "--out", str(xes_csv)]) == 0
+    assert main(["detect", "--input", str(xes_csv), "--out", str(tmp_path)]) == 0
     # header not matching the schema is a configuration problem -> 2
     bad = tmp_path / "bad.csv"
     bad.write_text("just,some,noise\n1,2,3\n")

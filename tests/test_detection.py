@@ -13,12 +13,13 @@ from datetime import timedelta
 import pytest
 
 from conftest import T0, mk_log
+from hlpaths import patterns
 from hlpaths.detection import compute_thresholds, detect_hles, summarize_by_type
 from hlpaths.event_log import Segment
 from hlpaths.framing import Coordinate, Framing, build_indices
 from hlpaths.io import hle_from_dict, hle_to_dict, read_hles, write_hles
 from hlpaths.patterns import FeatureType, compute_delay_thresholds, evaluate_pattern
-from oracles import SINGLE_TYPES, o_threshold
+from oracles import SINGLE_TYPES, o_delay_thresholds, o_threshold
 
 AB = Segment("a", "b")
 H = 60
@@ -208,9 +209,8 @@ def long_log(seed=7, n_days=120):
 
 def test_thresholds_never_evaluate_a_coordinate(idx, monkeypatch):
     def refuse(*args, **kwargs):
-        raise AssertionError("compute_thresholds evaluated a coordinate")
+        raise AssertionError("a coordinate was evaluated one at a time")
 
-    monkeypatch.setattr("hlpaths.detection.evaluate_pattern", refuse)
     monkeypatch.setattr("hlpaths.patterns.evaluate_pattern", refuse)
     for index in (idx, build_indices(long_log(), Framing(width=DAY, origin=T0))):
         delta = compute_delay_thresholds(index, 70)
@@ -220,6 +220,60 @@ def test_thresholds_never_evaluate_a_coordinate(idx, monkeypatch):
                 pair_population=pair_population,
             )
             assert len(table.values) == 6 * len(index.segments)
+            assert detect_hles(
+                index, table, delay_thresholds=delta, blacklist=frozenset({"r3"})
+            )
+
+
+def occupied_thetas(index, ftype, segment):
+    if ftype is FeatureType.ENTER:
+        return list(index.entering_by_segment[segment])
+    if ftype.uses_window_pair:
+        return list(index.pairs_by_segment[segment])
+    return list(index.exiting_by_segment[segment])
+
+
+def test_detection_filters_each_occupied_coordinate_once(monkeypatch):
+    index = build_indices(long_log(), Framing(width=DAY, origin=T0))
+    delta = compute_delay_thresholds(index, 70)
+    blacklist = frozenset({"r3"})
+    table = compute_thresholds(index, 90, delay_thresholds=delta, blacklist=blacklist)
+    calls = []
+    counted = patterns._counted
+
+    def spy(ftype, segment, theta, *args):
+        calls.append((ftype, segment, theta))
+        return counted(ftype, segment, theta, *args)
+
+    monkeypatch.setattr(patterns, "_counted", spy)
+    hles = detect_hles(index, table, delay_thresholds=delta, blacklist=blacklist)
+    assert hles
+    scanned = [
+        (ftype, segment)
+        for ftype in FeatureType
+        for segment in index.sorted_segments()
+        if not math.isinf(table.get(ftype, segment))
+    ]
+    assert scanned
+    assert calls == [
+        (ftype, segment, theta)
+        for ftype, segment in scanned
+        for theta in occupied_thetas(index, ftype, segment)
+    ]
+
+
+def test_delay_thresholds_read_windows_from_the_index(monkeypatch):
+    log = long_log()
+    index = build_indices(log, Framing(width=DAY, origin=T0))
+
+    def refuse(self, t):
+        raise AssertionError("window_index called after build_indices")
+
+    monkeypatch.setattr(Framing, "window_index", refuse)
+    for q in (0, 50, 70, 100):
+        assert compute_delay_thresholds(index, q) == o_delay_thresholds(
+            log, index.segments, T0, DAY, q
+        )
 
 
 @pytest.mark.parametrize("p", [0, 50, 90, 99, 99.5, 99.9, 99.99, 100])

@@ -101,16 +101,25 @@ def test_duplicate_timestamps_offset_in_input_order():
     assert times[2] - times[1] == timedelta(milliseconds=1)
 
 
-def test_duplicate_timestamps_error_policy():
+def test_duplicate_timestamp_offsets_cascade_per_case():
+    # t, t, t+0.5 ms in each of two interleaved cases: the second event is
+    # pushed to t+1 ms, which in turn pushes the third to t+2 ms
     raw = (
         "case,activity,timestamp,resource\n"
         "c1,a,2024-03-01T08:00:00Z,x\n"
+        "c2,a,2024-03-01T08:00:00Z,x\n"
         "c1,b,2024-03-01T08:00:00Z,x\n"
+        "c2,b,2024-03-01T08:00:00Z,x\n"
+        "c2,c,2024-03-01T08:00:00.000500Z,x\n"
+        "c1,c,2024-03-01T08:00:00.000500Z,x\n"
     )
-    with pytest.raises(LogParseError, match="duplicate timestamp"):
-        parse_csv(io.StringIO(raw), duplicate_policy="error")
-    with pytest.raises(ConfigError):
-        parse_csv(io.StringIO(raw), duplicate_policy="sometimes")
+    with pytest.warns(UserWarning, match="offset 4 duplicate-timestamp"):
+        log = parse_csv(io.StringIO(raw))
+    t = datetime(2024, 3, 1, 8, tzinfo=timezone.utc)
+    ms = timedelta(milliseconds=1)
+    for case in ("c1", "c2"):
+        assert log.activity_sequence(case) == ("a", "b", "c")
+        assert [e.time for e in log.trace(case)] == [t, t + ms, t + 2 * ms]
 
 
 def test_parse_timestamp_variants():
