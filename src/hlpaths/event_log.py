@@ -7,9 +7,12 @@ From a log we derive *traces* (the per-case event sequences), *steps*
 (the (activity, activity) label of a step). Steps and segments are the
 spatial unit everything downstream works on.
 
-Supported inputs, plain or gzipped: CSV with a header row and
-configurable column names (:func:`parse_csv`, written back by
-:func:`write_csv`), and flat XES (:func:`parse_xes`).
+Supported inputs, plain or gzipped (a ``.gz`` name in any case): CSV
+with a header row and configurable column names (:func:`parse_csv`,
+written back by :func:`write_csv`), and flat XES (:func:`parse_xes`),
+read one trace at a time. Both parsers only turn input into events;
+:class:`EventLog` alone orders a log, repairs repeated timestamps and
+records its time bounds.
 """
 
 from __future__ import annotations
@@ -19,15 +22,19 @@ import gzip
 import io
 import warnings
 import xml.etree.ElementTree as ET
+import zlib
 from collections import Counter
+from contextlib import contextmanager
 from dataclasses import dataclass, field
 from datetime import datetime, timedelta, timezone
 from pathlib import Path
-from typing import IO, Iterable, NamedTuple
+from typing import IO, Iterable, Iterator, NamedTuple
 
 from .errors import ConfigError, LogParseError
 
 _MILLISECOND = timedelta(milliseconds=1)
+# the latest time an event can be moved 1 ms past
+_LAST_MOVABLE = datetime.max.replace(tzinfo=timezone.utc) - _MILLISECOND
 
 
 @dataclass(frozen=True, slots=True)
@@ -71,37 +78,58 @@ class Segment(NamedTuple):
 
 
 class EventLog:
-    """Immutable event log with per-case traces.
+    """Immutable event log with per-case traces; the one place that orders
+    a log.
 
-    Events are stored sorted by (case, time); traces are strictly
-    time-ordered per case (the constructor enforces this — repair happens
-    at parse time, see :func:`parse_csv`). Instances are safe to share
-    across threads.
+    The constructor sorts the events by (case, time) once (stable, so ties
+    keep input order) and walks them once: it rejects a repeated event id,
+    moves an event not later than its predecessor in its case 1 ms past
+    that one (with one warning giving the count; later events can cascade,
+    t, t, t+0.5 ms become t, t+1 ms, t+2 ms), groups the traces and records
+    ``min_time``/``max_time``. An empty input raises :class:`LogParseError`.
+    Instances are safe to share across threads.
     """
 
-    __slots__ = ("events", "attribute_schema", "_traces")
+    __slots__ = ("events", "attribute_schema", "min_time", "max_time", "_traces")
 
     def __init__(self, events: Iterable[Event], attribute_schema: Iterable[str] = ()):
         ordered = sorted(events, key=lambda e: (e.case, e.time))
-        self.events: tuple[Event, ...] = tuple(ordered)
-        self.attribute_schema: tuple[str, ...] = tuple(attribute_schema)
+        if not ordered:
+            raise LogParseError("log has no events")
         traces: dict[str, list[Event]] = {}
         seen_ids: set[str] = set()
-        for event in self.events:
+        repaired = 0
+        prev = None
+        for i, event in enumerate(ordered):
             if event.id in seen_ids:
                 raise LogParseError(f"duplicate event id {event.id!r}")
             seen_ids.add(event.id)
-            traces.setdefault(event.case, []).append(event)
-        for case, trace in traces.items():
-            for prev, cur in zip(trace, trace[1:]):
-                if cur.time <= prev.time:
-                    raise LogParseError(
-                        f"case {case!r}: events {prev.id!r} and {cur.id!r} are not "
-                        f"strictly time-ordered ({prev.time} vs {cur.time})"
-                    )
+            if prev is None or event.case != prev.case:
+                trace = traces[event.case] = []
+            elif event.time <= prev.time:
+                if prev.time > _LAST_MOVABLE:
+                    raise LogParseError(f"case {event.case!r}: no time left to move "
+                                        f"event {event.id!r} past {prev.time}")
+                event = ordered[i] = Event(event.id, event.case, event.activity,
+                                           event.resource, prev.time + _MILLISECOND,
+                                           event.attrs)
+                repaired += 1
+            trace.append(event)
+            prev = event
+        if repaired:
+            warnings.warn(
+                f"offset {repaired} duplicate-timestamp event(s) by 1 ms to keep "
+                f"traces strictly ordered",
+                stacklevel=2,
+            )
+        self.events: tuple[Event, ...] = tuple(ordered)
+        self.attribute_schema: tuple[str, ...] = tuple(attribute_schema)
         self._traces: dict[str, tuple[Event, ...]] = {
             case: tuple(trace) for case, trace in traces.items()
         }
+        # every trace is now strictly increasing: its ends bound the log
+        self.min_time: datetime = min(trace[0].time for trace in traces.values())
+        self.max_time: datetime = max(trace[-1].time for trace in traces.values())
 
     def __len__(self) -> int:
         return len(self.events)
@@ -122,14 +150,6 @@ class EventLog:
 
     def activity_sequence(self, case: str) -> tuple[str, ...]:
         return tuple(e.activity for e in self._traces[case])
-
-    @property
-    def min_time(self) -> datetime:
-        return min(e.time for e in self.events)
-
-    @property
-    def max_time(self) -> datetime:
-        return max(e.time for e in self.events)
 
 
 @dataclass(frozen=True)
@@ -159,18 +179,19 @@ class CsvSchema:
 def parse_timestamp(raw: str) -> datetime:
     """Parse ISO-8601 or "YYYY-MM-DD HH:MM:SS[.fff]"; normalize to UTC.
 
-    Timezone-less inputs are assumed UTC.
+    Timezone-less inputs are assumed UTC; one whose UTC time falls outside
+    the datetime range is malformed.
     """
     text = raw.strip()
     if text.endswith(("Z", "z")):
         text = text[:-1] + "+00:00"
     try:
         ts = datetime.fromisoformat(text)
-    except ValueError:
+        if ts.tzinfo is None:
+            return ts.replace(tzinfo=timezone.utc)
+        return ts.astimezone(timezone.utc)
+    except (ValueError, OverflowError):
         raise LogParseError(f"malformed timestamp {raw!r}") from None
-    if ts.tzinfo is None:
-        return ts.replace(tzinfo=timezone.utc)
-    return ts.astimezone(timezone.utc)
 
 
 def merge_lifecycle(activity: str, lifecycle: str) -> str:
@@ -179,165 +200,146 @@ def merge_lifecycle(activity: str, lifecycle: str) -> str:
     return f"{activity}|{life.upper()}" if life else activity
 
 
-def _finalize(raw_events: list[Event], extra_columns: Iterable[str]) -> EventLog:
-    """Sort the events by (case, time) and make every trace strictly
-    time-ordered: an event not later than its predecessor in the case is
-    pushed 1 ms past it, in input order (the sort is stable)."""
-    events = sorted(raw_events, key=lambda e: (e.case, e.time))
-    if not events:
-        raise LogParseError("log has no events")
-    repaired = 0
-    prev = events[0]
-    for i in range(1, len(events)):
-        event = events[i]
-        if event.case == prev.case and event.time <= prev.time:
-            event = Event(event.id, event.case, event.activity, event.resource,
-                          prev.time + _MILLISECOND, event.attrs)
-            events[i] = event
-            repaired += 1
-        prev = event
-    if repaired:
-        warnings.warn(
-            f"offset {repaired} duplicate-timestamp event(s) by 1 ms to keep "
-            f"traces strictly ordered",
-            stacklevel=3,
-        )
-    return EventLog(events, attribute_schema=extra_columns)
-
-
-def _open_text(source: str | Path | IO) -> IO:
+@contextmanager
+def _open(source: str | Path | IO | bytes, binary: bool) -> Iterator[IO]:
+    """A byte (``binary``) or UTF-8 text stream over ``source``: a path,
+    gunzipped when its name ends in ``.gz`` in any case, bytes, or an open
+    stream. Undecodable input raises :class:`LogParseError`; what is opened
+    here is closed here."""
+    owned = isinstance(source, (str, Path, bytes, bytearray))
     if isinstance(source, (str, Path)):
-        path = Path(source)
-        if path.suffix == ".gz":
-            return gzip.open(path, "rt", encoding="utf-8")
-        return open(path, "r", encoding="utf-8", newline="")
-    if isinstance(source, (bytes, bytearray)):
-        return io.StringIO(source.decode("utf-8"))
-    if isinstance(source, io.TextIOBase):
-        return source
-    # binary stream
-    return io.TextIOWrapper(source, encoding="utf-8")
+        stream = gzip.open(source) if str(source).lower().endswith(".gz") else open(source, "rb")
+    elif isinstance(source, (bytes, bytearray)):
+        stream = io.BytesIO(source)
+    else:
+        stream = source
+    if not binary and not isinstance(stream, io.TextIOBase):
+        stream = io.TextIOWrapper(stream, encoding="utf-8", newline="")
+    try:
+        yield stream
+    except UnicodeDecodeError as exc:
+        raise LogParseError(f"not valid UTF-8: {exc.reason}") from None
+    except (EOFError, zlib.error, gzip.BadGzipFile) as exc:
+        raise LogParseError(f"not a readable gzip file: {exc}") from None
+    finally:
+        if owned:
+            stream.close()
+        elif stream is not source:
+            stream.detach()  # the caller's byte stream stays open
 
 
 def parse_csv(
     source: str | Path | IO | bytes,
     schema: CsvSchema = CsvSchema(),
 ) -> EventLog:
-    """Load a CSV event log.
+    """Load a CSV event log (UTF-8, a leading byte-order mark ignored).
 
-    Rows become events sorted by (case, time). When a lifecycle column is
-    configured, the activity is rewritten to "activity|LIFECYCLE". An
-    event not later than the one before it in its case (repeated
-    timestamps) is moved 1 ms past that one, in input order, with one
-    warning giving the count; later events can cascade
-    (t, t, t+0.5 ms become t, t+1 ms, t+2 ms).
+    Each row becomes an event; :class:`EventLog` orders them and offsets
+    repeated timestamps. When a lifecycle column is configured, the
+    activity is rewritten to "activity|LIFECYCLE". A row with the wrong
+    number of fields, an empty case id or a malformed timestamp raises
+    :class:`LogParseError` with its line number.
     """
-    stream = _open_text(source)
-    reader = csv.DictReader(stream)
-    if reader.fieldnames is None:
-        raise LogParseError("empty CSV: no header row")
-    header = list(reader.fieldnames)
-    missing = [c for c in schema.required_columns() if c not in header]
-    if missing:
-        raise ConfigError(f"missing required column(s): {', '.join(missing)}")
-    known = set(schema.required_columns())
-    extra_columns = [c for c in header if c not in known]
-
     raw_events: list[Event] = []
-    for n, row in enumerate(reader):
-        # DictReader files surplus fields under None and pads short rows with None
-        if None in row or None in row.values():
-            raise LogParseError(f"row does not have the header's {len(header)} fields",
-                                line=reader.line_num)
-        try:
-            time = parse_timestamp(row[schema.timestamp])
-        except LogParseError as exc:
-            raise LogParseError(str(exc), line=reader.line_num) from None
-        activity = row[schema.activity].strip()
-        if schema.lifecycle is not None:
-            activity = merge_lifecycle(activity, row[schema.lifecycle])
-        resource = row[schema.resource].strip() if schema.resource else ""
-        attrs = tuple((c, row[c]) for c in extra_columns)
-        raw_events.append(Event(
-            id=f"e{n}",
-            case=row[schema.case].strip(),
-            activity=activity,
-            resource=resource,
-            time=time,
-            attrs=attrs,
-        ))
-    return _finalize(raw_events, extra_columns)
+    with _open(source, binary=False) as stream:
+        reader = csv.DictReader(stream)
+        if reader.fieldnames is None:
+            raise LogParseError("empty CSV: no header row")
+        header = list(reader.fieldnames)
+        if header:
+            header[0] = header[0].removeprefix("\ufeff")
+        reader.fieldnames = header
+        missing = [c for c in schema.required_columns() if c not in header]
+        if missing:
+            raise ConfigError(f"missing required column(s): {', '.join(missing)}")
+        known = set(schema.required_columns())
+        extra_columns = [c for c in header if c not in known]
+
+        for n, row in enumerate(reader):
+            # DictReader files surplus fields under None and pads short rows with None
+            if None in row or None in row.values():
+                raise LogParseError(f"row does not have the header's {len(header)} fields",
+                                    line=reader.line_num)
+            case = row[schema.case].strip()
+            if not case:
+                raise LogParseError("row has an empty case id", line=reader.line_num)
+            try:
+                time = parse_timestamp(row[schema.timestamp])
+            except LogParseError as exc:
+                raise LogParseError(str(exc), line=reader.line_num) from None
+            activity = row[schema.activity].strip()
+            if schema.lifecycle is not None:
+                activity = merge_lifecycle(activity, row[schema.lifecycle])
+            resource = row[schema.resource].strip() if schema.resource else ""
+            attrs = tuple((c, row[c]) for c in extra_columns)
+            raw_events.append(Event(
+                id=f"e{n}",
+                case=case,
+                activity=activity,
+                resource=resource,
+                time=time,
+                attrs=attrs,
+            ))
+    return EventLog(raw_events, attribute_schema=extra_columns)
 
 
-def _localname(tag: str) -> str:
-    return tag.rsplit("}", 1)[-1]
+def _xes_traces(stream: IO[bytes]) -> Iterator[ET.Element]:
+    """The ``trace`` elements of an XES stream, each as it ends. Input the
+    XML parser refuses, an unknown declared encoding included, raises
+    :class:`LogParseError`."""
+    try:
+        for _, elem in ET.iterparse(stream):
+            tag = elem.tag
+            if tag == "trace" or tag.endswith("}trace"):
+                yield elem
+    except (ET.ParseError, LookupError) as exc:
+        raise LogParseError(f"not valid XML: {exc}") from None
 
 
 def parse_xes(source: str | Path | IO | bytes) -> EventLog:
     """Load a flat XES log (string/date attributes of trace/event elements).
 
-    concept:name of a trace maps to the case id (a trace without one raises
-    LogParseError naming its 1-based position), concept:name of an event
-    to the activity, org:resource to the resource, time:timestamp to the
-    timestamp and lifecycle:transition is merged into the activity name.
-    Events without a timestamp are skipped (one warning with the count).
-    Repeated timestamps within a trace are offset as in :func:`parse_csv`.
+    The log is read one ``trace`` element at a time, each cleared once
+    read. concept:name of a trace maps to the case id, concept:name of an
+    event to the activity, org:resource to the resource, time:timestamp to
+    the timestamp and lifecycle:transition is merged into the activity
+    name. A trace without a name or with a malformed timestamp raises
+    :class:`LogParseError` naming its 1-based position. Events without a
+    timestamp are skipped (one warning with the count). :class:`EventLog`
+    orders the events and offsets repeated timestamps.
     """
-    if isinstance(source, (str, Path)):
-        path = Path(source)
-        opener = gzip.open(path, "rb") if path.suffix == ".gz" else open(path, "rb")
-    elif isinstance(source, (bytes, bytearray)):
-        opener = io.BytesIO(source)
-    else:
-        opener = source
     raw_events: list[Event] = []
     skipped = 0
-    counter = 0
-    try:
-        with opener as stream:
-            context = ET.iterparse(stream, events=("end",))
-            n_traces = 0
-            for _, elem in context:
-                if _localname(elem.tag) != "trace":
+    with _open(source, binary=True) as stream:
+        for n_trace, elem in enumerate(_xes_traces(stream), start=1):
+            name = elem.find("{*}string[@key='concept:name']")
+            case = "" if name is None else name.get("value", "")
+            if not case:
+                raise LogParseError(f"trace {n_trace} has no concept:name")
+            for ev in elem.iterfind("{*}event"):
+                fields = {attr.get("key"): attr.get("value", "") for attr in ev}
+                if "time:timestamp" not in fields:
+                    skipped += 1
                     continue
-                n_traces += 1
-                case = ""
-                trace_events = []
-                for child in elem:
-                    name = _localname(child.tag)
-                    if name == "string" and child.get("key") == "concept:name":
-                        case = child.get("value", "")
-                    elif name == "event":
-                        trace_events.append(child)
-                if not case:
-                    raise LogParseError(f"trace {n_traces} has no concept:name")
-                for ev in trace_events:
-                    fields: dict[str, str] = {}
-                    for attr in ev:
-                        key = attr.get("key")
-                        if key:
-                            fields[key] = attr.get("value", "")
-                    if "time:timestamp" not in fields:
-                        skipped += 1
-                        continue
-                    activity = fields.get("concept:name", "").strip()
-                    lifecycle = fields.get("lifecycle:transition", "")
-                    if lifecycle:
-                        activity = merge_lifecycle(activity, lifecycle)
-                    raw_events.append(Event(
-                        id=f"e{counter}",
-                        case=case,
-                        activity=activity,
-                        resource=fields.get("org:resource", "").strip(),
-                        time=parse_timestamp(fields["time:timestamp"]),
-                    ))
-                    counter += 1
-                elem.clear()
-    except ET.ParseError as exc:
-        raise LogParseError(f"not valid XML: {exc}") from None
+                try:
+                    time = parse_timestamp(fields["time:timestamp"])
+                except LogParseError as exc:
+                    raise LogParseError(f"trace {n_trace}: {exc}") from None
+                activity = fields.get("concept:name", "").strip()
+                lifecycle = fields.get("lifecycle:transition", "")
+                if lifecycle:
+                    activity = merge_lifecycle(activity, lifecycle)
+                raw_events.append(Event(
+                    id=f"e{len(raw_events)}",
+                    case=case,
+                    activity=activity,
+                    resource=fields.get("org:resource", "").strip(),
+                    time=time,
+                ))
+            elem.clear()
     if skipped:
         warnings.warn(f"skipped {skipped} event(s) without a timestamp", stacklevel=2)
-    return _finalize(raw_events, ())
+    return EventLog(raw_events)
 
 
 def derive_steps(log: EventLog) -> tuple[tuple[Step, ...], Counter]:

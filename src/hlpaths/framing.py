@@ -92,22 +92,17 @@ class Coordinate(NamedTuple):
 
 def windows_of_log(log: EventLog, framing: Framing) -> list[Window]:
     """All windows from the first to the last event, empty ones included."""
-    if len(log) == 0:
-        raise ValueError("empty log has no windows")
     lo = framing.window_index(log.min_time)
     hi = framing.window_index(log.max_time)
     return [framing.window(i) for i in range(lo, hi + 1)]
-
-
-def _step_sort_key(step: Step):
-    return (step.first.time, step.second.time, step.first.case, step.first.id)
 
 
 class StepIndex:
     """Immutable lookups for pattern evaluation.
 
     * ``steps_by_segment``: segment -> its steps (restricted to the
-      retained segments).
+      retained segments), in :func:`~hlpaths.event_log.derive_steps`
+      order, which every bucket keeps too.
     * ``pairs_by_segment``: segment -> {(entry window, exit window) ->
       steps}; only occupied pairs are materialized, the value anywhere
       else is zero.
@@ -143,7 +138,6 @@ class StepIndex:
         self.entering_by_segment: dict[Segment, dict[int, tuple[Step, ...]]] = {}
         self.exiting_by_segment: dict[Segment, dict[int, tuple[Step, ...]]] = {}
         for segment, steps in steps_by_segment.items():
-            steps.sort(key=_step_sort_key)
             self.steps_by_segment[segment] = tuple(steps)
             pairs: dict[tuple[int, int], list[Step]] = {}
             enter: dict[int, list[Step]] = {}
@@ -177,22 +171,16 @@ class StepIndex:
         return sorted(self.segments)
 
 
-def build_indices(log: EventLog, framing: Framing,
-                  segments: set[Segment] | frozenset[Segment] | None = None,
-                  *, top_segments: int | None = None) -> StepIndex:
+def build_indices(log: EventLog, framing: Framing, *,
+                  top_segments: int | None = None) -> StepIndex:
     """Index the log for pattern evaluation, deriving its steps once.
 
-    ``segments`` restricts which steps are indexed; ``top_segments=k``
-    keeps the k most frequent segments instead. With neither, every
-    segment of the log is kept.
+    ``top_segments=k`` keeps only the steps of the k most frequent
+    segments (:func:`~hlpaths.event_log.select_top_segments`); by default
+    every segment of the log is kept.
     """
     if framing.origin > log.min_time:
         raise ValueError("framing origin must not be later than the first event")
-    if segments is not None and top_segments is not None:
-        raise ValueError("give segments or top_segments, not both")
     steps, counts = derive_steps(log)
-    if top_segments is not None:
-        segments = select_top_segments(counts, top_segments)
-    elif segments is None:
-        segments = set(counts)
+    segments = set(counts) if top_segments is None else select_top_segments(counts, top_segments)
     return StepIndex(log, framing, segments, steps)

@@ -93,7 +93,7 @@ def read_hles(fp: IO[str]) -> Iterator[HighLevelEvent]:
             raise LogParseError(f"not valid JSON: {exc.msg}", line=line_no) from None
         except KeyError as exc:
             raise LogParseError(f"high-level event lacks {exc}", line=line_no) from None
-        except (TypeError, ValueError, IndexError) as exc:
+        except (TypeError, ValueError, IndexError, AttributeError, OverflowError) as exc:
             raise LogParseError(f"malformed high-level event: {exc}", line=line_no) from None
         yield hle
 

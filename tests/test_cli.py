@@ -2,12 +2,14 @@
 
 import argparse
 import csv
+import gzip
 import json
 
 import pytest
 
 from hlpaths.cli import build_config, main
 from hlpaths.config import RunConfig
+from test_event_log import XES
 
 
 def ns(**kw):
@@ -147,6 +149,14 @@ def test_exit_codes(tmp_path, staged):
     xes_csv = tmp_path / "log.xes.csv"
     assert main(["generate", "--seed", "3", "--out", str(xes_csv)]) == 0
     assert main(["detect", "--input", str(xes_csv), "--out", str(tmp_path)]) == 0
+    # ".gz" in any case is gunzipped, for CSV and XES alike
+    gz_csv = tmp_path / "LOG.CSV.GZ"
+    gz_csv.write_bytes(gzip.compress(log.read_bytes()))
+    assert main(["detect", "--input", str(gz_csv), "--out", str(tmp_path)]) == 0
+    gz_xes = tmp_path / "LOAN.XES.GZ"
+    gz_xes.write_bytes(gzip.compress(XES.encode()))
+    with pytest.warns(UserWarning, match="without a timestamp"):
+        assert main(["detect", "--input", str(gz_xes), "--out", str(tmp_path)]) == 0
     # header not matching the schema is a configuration problem -> 2
     bad = tmp_path / "bad.csv"
     bad.write_text("just,some,noise\n1,2,3\n")

@@ -1,5 +1,6 @@
 """Ingestion: parsers, repair, trace access, segment derivation."""
 
+import gc
 import gzip
 import io
 from collections import Counter
@@ -8,6 +9,7 @@ from datetime import datetime, timedelta, timezone
 import pytest
 
 from conftest import T0, ev, mk_log
+from hlpaths import event_log as event_log_module
 from hlpaths.errors import ConfigError, LogParseError
 from hlpaths.event_log import (
     CsvSchema,
@@ -62,6 +64,26 @@ def test_parse_csv_row_with_wrong_field_count_reports_line():
     for row in ("c1,b\n", "c1,b,2024-03-01T09:00:00Z,x,surplus\n"):
         with pytest.raises(LogParseError, match="line 3: row does not have"):
             parse_csv(io.StringIO(head + row))
+
+
+def test_parse_csv_ignores_byte_order_mark(tmp_path):
+    path = tmp_path / "excel.csv"
+    path.write_bytes(b"\xef\xbb\xbf" + CSV.encode())
+    for source in (path, path.read_bytes(), io.StringIO(path.read_text("utf-8"))):
+        log = parse_csv(source)
+        assert log.cases == ("c1", "c2")
+
+
+def test_parse_csv_rejects_empty_case_id():
+    raw = "case,activity,timestamp,resource\nc1,a,2024-03-01T08:00:00Z,x\n ,b,2024-03-01T09:00:00Z,x\n"
+    with pytest.raises(LogParseError, match="line 3: row has an empty case id"):
+        parse_csv(io.StringIO(raw))
+
+
+def test_parse_csv_rejects_invalid_utf8():
+    raw = CSV.encode().replace(b"carol", b"car\xffol")
+    with pytest.raises(LogParseError, match="not valid UTF-8"):
+        parse_csv(raw)
 
 
 def test_parse_header_only_is_empty_log_error():
@@ -173,21 +195,39 @@ XES = """<?xml version="1.0" encoding="UTF-8"?>
 
 
 def test_parse_xes():
-    with pytest.warns(UserWarning, match="without a timestamp"):
-        log = parse_xes(XES.encode())
-    assert log.cases == ("c1",)
-    assert log.activity_sequence("c1") == ("submit|COMPLETE", "review")
-    assert log.trace("c1")[0].resource == "alice"
-    assert log.trace("c1")[1].resource == ""
+    # with the XES namespace and without any
+    for text in (XES, XES.replace(' xmlns="http://www.xes-standard.org/"', "")):
+        with pytest.warns(UserWarning, match="without a timestamp"):
+            log = parse_xes(text.encode())
+        assert log.cases == ("c1",)
+        assert log.activity_sequence("c1") == ("submit|COMPLETE", "review")
+        assert log.trace("c1")[0].resource == "alice"
+        assert log.trace("c1")[1].resource == ""
 
 
 def test_parse_xes_gzip(tmp_path):
-    path = tmp_path / "log.xes.gz"
+    path = tmp_path / "LOG.XES.GZ"
     with gzip.open(path, "wb") as fp:
         fp.write(XES.encode())
     with pytest.warns(UserWarning):
         log = parse_xes(path)
     assert len(log) == 2
+
+
+def test_parse_leaves_caller_streams_open():
+    csv_stream, xes_stream = io.BytesIO(CSV.encode()), io.BytesIO(XES.encode())
+    parse_csv(csv_stream)
+    with pytest.warns(UserWarning):
+        parse_xes(xes_stream)
+    gc.collect()
+    assert not csv_stream.closed and not xes_stream.closed
+
+
+def test_parse_truncated_gzip(tmp_path):
+    path = tmp_path / "cut.csv.gz"
+    path.write_bytes(gzip.compress(CSV.encode())[:-12])
+    with pytest.raises(LogParseError, match="not a readable gzip file"):
+        parse_csv(path)
 
 
 def test_parse_xes_trace_without_case_name():
@@ -196,6 +236,13 @@ def test_parse_xes_trace_without_case_name():
     two_traces = XES.replace("</log>", second + "</log>")
     with pytest.raises(LogParseError, match="trace 2 has no concept:name"):
         parse_xes(two_traces.encode())
+
+
+def test_parse_xes_malformed_timestamp_names_trace():
+    second = XES[XES.index("  <trace>"):XES.index("</log>")].replace(
+        '"c1"', '"c2"').replace("2024-03-01T09:00:00.000+00:00", "nope")
+    with pytest.raises(LogParseError, match="trace 2: malformed timestamp 'nope'"):
+        parse_xes(XES.replace("</log>", second + "</log>").encode())
 
 
 def test_parse_xes_rejects_garbage():
@@ -209,10 +256,40 @@ def test_event_log_rejects_duplicate_ids():
         EventLog(events)
 
 
-def test_event_log_rejects_unordered_trace():
-    events = [ev("e1", "c1", "a", minutes=5), ev("e2", "c1", "b", minutes=5)]
-    with pytest.raises(LogParseError, match="strictly time-ordered"):
-        EventLog(events)
+def test_event_log_offsets_unordered_trace():
+    # direct construction gets the same repair as the parsers
+    events = [ev("e2", "c1", "b", minutes=5), ev("e1", "c1", "a", minutes=5),
+              ev("e3", "c2", "a", minutes=5)]
+    with pytest.warns(UserWarning, match="offset 1 duplicate-timestamp"):
+        log = EventLog(events)
+    assert [e.id for e in log.trace("c1")] == ["e2", "e1"]
+    assert log.trace("c1")[1].time == T0 + timedelta(minutes=5, milliseconds=1)
+    assert log.max_time == log.trace("c1")[1].time
+    assert log.trace("c2")[0].time == T0 + timedelta(minutes=5)
+
+
+def test_event_log_rejects_empty_input():
+    with pytest.raises(LogParseError, match="log has no events"):
+        EventLog([])
+
+
+def test_event_log_sorts_once(monkeypatch):
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return sorted(*args, **kwargs)
+
+    monkeypatch.setattr(event_log_module, "sorted", counted, raising=False)
+    parse_csv(io.StringIO(CSV))
+    assert len(calls) == 1
+
+
+def test_min_max_time_do_not_read_events():
+    log = mk_log([("c1", "a", "r1", 30), ("c2", "b", "r1", 0), ("c2", "c", "r1", 90)])
+    del log.events
+    assert log.min_time == T0
+    assert log.max_time == T0 + timedelta(minutes=90)
 
 
 def test_derive_steps_counts():

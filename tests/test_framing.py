@@ -131,24 +131,17 @@ def test_step_index_buckets():
 
 
 def test_step_index_respects_segment_selection():
-    log = mk_log([
-        ("c1", "a", "r1", 0), ("c1", "b", "r1", 10), ("c1", "c", "r1", 20),
-    ])
-    idx = build_indices(log, Framing(width=DAY, origin=T0), {Segment("a", "b")})
-    assert idx.steps_of(Segment("a", "b"))
-    assert idx.steps_of(Segment("b", "c")) == ()
-    # window range still spans all events, not just selected-segment steps
-    assert idx.window_range == range(0, 1)
     # the most frequent segment wins; a rework loop makes a->b the top one
     rework = mk_log([
         ("c1", "a", "r1", 0), ("c1", "b", "r1", 10), ("c1", "a", "r1", 20),
-        ("c1", "b", "r1", 30), ("c1", "c", "r1", 40),
+        ("c1", "b", "r1", 30), ("c1", "c", "r1", 2 * 24 * 60),
     ])
     top = build_indices(rework, Framing(width=DAY, origin=T0), top_segments=1)
     assert top.segments == {Segment("a", "b")}
-    with pytest.raises(ValueError, match="not both"):
-        build_indices(rework, Framing(width=DAY, origin=T0), {Segment("a", "b")},
-                      top_segments=1)
+    assert len(top.steps_of(Segment("a", "b"))) == 2
+    assert top.steps_of(Segment("b", "c")) == ()
+    # window range still spans all events, not just selected-segment steps
+    assert top.window_range == range(0, 3)
 
 
 @pytest.mark.parametrize("top_segments", [None, 2])

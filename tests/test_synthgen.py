@@ -94,7 +94,7 @@ def test_injection_adds_dedicated_cases_at_coordinate():
         assert fr.window_index(by_act["b"].time) == 2
 
     # the coordinate fires against thresholds from the background load
-    idx = build_indices(log, fr, set(spec.segments))
+    idx = build_indices(log, fr)
     delays = compute_delay_thresholds(idx, 70)
     thresholds = compute_thresholds(idx, 90, delay_thresholds=delays)
     hles = detect_hles(idx, thresholds, delay_thresholds=delays)
