@@ -12,8 +12,6 @@ from dataclasses import dataclass
 from datetime import datetime
 from typing import IO, Union
 
-import yaml
-
 from .detection import PAIR_POPULATIONS
 from .errors import ConfigError, LogParseError
 from .event_log import parse_timestamp
@@ -127,12 +125,24 @@ class RunConfig:
 
     @classmethod
     def from_yaml(cls, source: Union[str, IO[str]]) -> "RunConfig":
-        if hasattr(source, "read"):
-            data = yaml.safe_load(source)
-        else:
-            with open(source, "r", encoding="utf-8") as fp:
-                data = yaml.safe_load(fp)
+        """A config read from a YAML stream or path; malformed YAML raises
+        :class:`ConfigError` naming the line and column."""
+        import yaml  # only config files need PyYAML
+
+        try:
+            if hasattr(source, "read"):
+                data = yaml.safe_load(source)
+            else:
+                with open(source, "r", encoding="utf-8") as fp:
+                    data = yaml.safe_load(fp)
+        except yaml.YAMLError as exc:
+            mark = getattr(exc, "problem_mark", None)
+            where = f" at line {mark.line + 1}, column {mark.column + 1}" if mark else ""
+            problem = getattr(exc, "problem", None) or str(exc)
+            raise ConfigError(f"config is not valid YAML{where}: {problem}") from None
         return cls.from_dict(data or {})
 
     def to_yaml(self, fp: IO[str]) -> None:
+        import yaml
+
         yaml.safe_dump(self.to_dict(), fp, sort_keys=True, default_flow_style=False)

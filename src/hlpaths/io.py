@@ -109,9 +109,33 @@ def write_episodes(episodes: Iterable[Episode], fp: IO[str]) -> None:
         }) + "\n")
 
 
+def _episode_problem(ids, common, union, by_id: Mapping[int, HighLevelEvent]) -> str | None:
+    """Why an episode line does not describe a chain of known events with
+    its case sets, or None when it does."""
+    if not isinstance(ids, list) or not ids:
+        return "episode ids must be a non-empty list"
+    for i in ids:
+        if type(i) is not int or i not in by_id:
+            return f"episode references unknown high-level event {i!r}"
+    if len(set(ids)) < len(ids):
+        repeated = next(i for i in ids if ids.count(i) > 1)
+        return f"episode repeats high-level event {repeated}"
+    for a, b in zip(ids, ids[1:]):
+        end, start = by_id[a].segment.to_activity, by_id[b].segment.from_activity
+        if end != start:
+            return (f"episode does not chain: high-level event {a} ends at {end!r}, "
+                    f"{b} starts at {start!r}")
+    for key, cases in (("common_cases", common), ("union_cases", union)):
+        if not isinstance(cases, list) or not all(isinstance(c, str) for c in cases):
+            return f"episode {key} must be a list of case names"
+    return None
+
+
 def read_episodes(fp: IO[str], hles: Iterable[HighLevelEvent]) -> list[Episode]:
     """The episodes of a JSON-lines file over ``hles``, the events read
-    back from the ``hles.jsonl`` they were linked from."""
+    back from the ``hles.jsonl`` they were linked from. Each line must name
+    distinct known events, each ending on the activity where the next
+    starts, and list its case names."""
     by_id = {h.id: h for h in hles}
     episodes = []
     for line_no, line in enumerate(fp, start=1):
@@ -119,22 +143,20 @@ def read_episodes(fp: IO[str], hles: Iterable[HighLevelEvent]) -> list[Episode]:
             continue
         try:
             obj = json.loads(line)
-            ids = obj["ids"]
-            unknown = [i for i in ids if i not in by_id]
-            common = frozenset(obj["common_cases"])
-            union = frozenset(obj["union_cases"])
+            ids, common, union = obj["ids"], obj["common_cases"], obj["union_cases"]
         except json.JSONDecodeError as exc:
             raise LogParseError(f"not valid JSON: {exc.msg}", line=line_no) from None
         except KeyError as exc:
             raise LogParseError(f"episode lacks {exc}", line=line_no) from None
         except TypeError as exc:
             raise LogParseError(f"malformed episode: {exc}", line=line_no) from None
-        if unknown:
-            raise LogParseError(
-                f"episode references unknown high-level event {unknown[0]}", line=line_no
-            )
+        problem = _episode_problem(ids, common, union, by_id)
+        if problem:
+            raise LogParseError(problem, line=line_no)
         episodes.append(Episode(
-            hles=tuple(by_id[i] for i in ids), common_cases=common, union_cases=union,
+            hles=tuple(by_id[i] for i in ids),
+            common_cases=frozenset(common),
+            union_cases=frozenset(union),
         ))
     return episodes
 

@@ -18,13 +18,15 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from datetime import datetime, timedelta, timezone
-
-import numpy as np
+from typing import TYPE_CHECKING
 
 from .errors import SpecError
 from .event_log import Event, EventLog, Segment
 from .framing import Framing, Theta
 from .patterns import FeatureType
+
+if TYPE_CHECKING:
+    import numpy as np
 
 
 @dataclass(frozen=True, slots=True)
@@ -204,6 +206,8 @@ def _forced_resources(
 
 def generate_log(spec: LogSpec, seed: int) -> tuple[EventLog, GroundTruth]:
     """Deterministically generate the log and its ground truth for a seed."""
+    import numpy as np  # only generation needs numpy; importing hlpaths does not
+
     spec.validate()
     rng = np.random.default_rng(seed)
     events: list[Event] = []

@@ -132,7 +132,7 @@ def test_report_files_equal_the_staged_ones(staged, tmp_path):
         assert (rep / name).read_bytes() == (staged_file / name).read_bytes(), name
 
 
-def test_exit_codes(tmp_path, staged):
+def test_exit_codes(tmp_path, staged, capsys):
     _, log, _, det, _ = staged
     # unusable flag value -> config error -> 2
     assert main(["detect", "--input", str(log), "--out", str(tmp_path),
@@ -165,6 +165,12 @@ def test_exit_codes(tmp_path, staged):
     mangled = tmp_path / "mangled.csv"
     mangled.write_text("case,activity,resource,timestamp\nc1,a,r1,not-a-time\n")
     assert main(["detect", "--input", str(mangled), "--out", str(tmp_path)]) == 1
+    # a config file that is not valid YAML -> 2, naming where it breaks
+    bad_yaml = tmp_path / "bad.yaml"
+    bad_yaml.write_text("window: [1d")
+    assert main(["detect", "--input", str(log), "--out", str(tmp_path),
+                 "--config", str(bad_yaml)]) == 2
+    assert "not valid YAML at line 1, column 12" in capsys.readouterr().err
     # episodes referencing unknown event ids -> 1
     orphan = tmp_path / "orphan.jsonl"
     orphan.write_text('{"ids": [999], "common_cases": [], "union_cases": []}\n')
@@ -198,6 +204,10 @@ def test_link_rejects_repeated_event_id(staged, tmp_path, capsys):
 
 def _drop(key):
     return lambda line: json.dumps({k: v for k, v in json.loads(line).items() if k != key})
+
+
+def _set(key, value):
+    return lambda line: json.dumps({**json.loads(line), key: value})
 
 
 HLE_DEFECTS = {
@@ -235,8 +245,16 @@ def test_link_and_correlate_reject_malformed_hles(staged, tmp_path, capsys, defe
 EPISODE_DEFECTS = {
     "json": (lambda line: line.replace(",", "", 1), "not valid JSON"),
     "missing-key": (_drop("union_cases"), "episode lacks 'union_cases'"),
-    "unknown-id": (lambda line: json.dumps({**json.loads(line), "ids": [999]}),
-                   "episode references unknown high-level event 999"),
+    "unknown-id": (_set("ids", [999]), "episode references unknown high-level event 999"),
+    "empty-ids": (_set("ids", []), "episode ids must be a non-empty list"),
+    # line 2 links event 0 (check>decide) to 2 (decide>notify); backwards
+    # the two do not chain
+    "unchained": (_set("ids", [2, 0]), "episode does not chain: high-level event 2 ends at 'notify', 0 starts at 'check'"),
+    "repeated-id": (_set("ids", [0, 0]), "episode repeats high-level event 0"),
+    "string-cases": (_set("union_cases", "abc"),
+                     "episode union_cases must be a list of case names"),
+    "null-case": (_set("common_cases", [1, None]),
+                  "episode common_cases must be a list of case names"),
 }
 
 

@@ -124,6 +124,15 @@ def test_yaml_partial_document():
     assert cfg.lam == 0.5  # untouched default
 
 
+def test_yaml_syntax_error_is_a_config_error(tmp_path):
+    with pytest.raises(ConfigError, match="not valid YAML at line 1, column 12: expected ','"):
+        RunConfig.from_yaml(io.StringIO("window: [1d"))
+    target = tmp_path / "bad.yaml"
+    target.write_text("percentile: 95\nwindow: 2d\n  lambda: 0.3\n")
+    with pytest.raises(ConfigError, match="line 3, column 9"):
+        RunConfig.from_yaml(str(target))
+
+
 def test_to_dict_uses_file_names():
     d = RunConfig(lam=0.25).to_dict()
     assert d["lambda"] == 0.25

@@ -12,6 +12,7 @@ from hlpaths.correlation import (
     ContingencyTable,
     benjamini_hochberg,
     bin_cases,
+    chi2_sf,
     chi_square,
     critical_value,
     derive_outcome,
@@ -33,7 +34,7 @@ from hlpaths.linkage import (
     group_episodes_by_path,
 )
 from hlpaths.patterns import FeatureType, compute_delay_thresholds
-from oracles import o_has_infix, o_rank_paths, o_traces
+from oracles import o_chi2_p, o_has_infix, o_rank_paths, o_traces
 
 EXIT = FeatureType.EXIT
 
@@ -176,6 +177,45 @@ def test_contingency_table_shape_checked():
     assert t.total == 10
     assert t.row_totals() == (3, 7)
     assert t.col_totals() == (4, 6)
+
+
+# statistics from 0 to 3000: dense where p is moderate, past 1490 where
+# exp(-x/2) underflows and only the log-space terms stay representable
+TAIL_STATS = (
+    [0.0, 1e-300, 1e-12, 1e-6, 0.01]
+    + [x / 10 for x in range(1, 400)]
+    + [float(x) for x in range(40, 3001, 7)]
+    + [1490.5, 1491.0, 1500.0]
+)
+
+
+def test_chi2_sf_matches_gammaincc():
+    for dof in range(1, 11):
+        for x in TAIL_STATS:
+            want = gammaincc(dof / 2, x / 2)
+            got = chi2_sf(x, dof)
+            if want >= 1e-300:
+                assert got == pytest.approx(want, rel=1e-12, abs=0), (dof, x)
+            else:
+                assert abs(got - want) <= 1e-300, (dof, x)
+    # the log-space terms keep the tail alive where exp(-x/2) is zero
+    assert math.exp(-1500.0 / 2) == 0.0 and chi2_sf(1500.0, 10) > 0
+
+
+def test_chi2_sf_closed_forms():
+    for x in TAIL_STATS:
+        assert chi2_sf(x, 1) == o_chi2_p(x, 1)
+        assert chi2_sf(x, 2) == o_chi2_p(x, 2)
+    with pytest.raises(ValueError):
+        chi2_sf(1.0, 0)
+    with pytest.raises(ValueError):
+        chi2_sf(1.0, 1.5)
+
+
+def test_critical_value_round_trips_through_chi2_sf():
+    for dof in range(1, 11):
+        for alpha in (0.1, 0.05, 0.01, 1e-6):
+            assert chi2_sf(critical_value(dof, alpha), dof) == pytest.approx(alpha, rel=1e-9)
 
 
 def test_critical_values():
