@@ -22,7 +22,7 @@ from __future__ import annotations
 
 import bisect
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Iterable, Mapping, Sequence
 
 from .errors import ConfigError
@@ -307,22 +307,23 @@ class PathAssociation:
 _PARTICIPATION_ROWS = ("participating", "non-participating")
 
 
-def _class_columns(
+def _class_members(
     classes: Mapping[str, str], class_order: Sequence[str] | None
-) -> tuple[str, ...]:
-    return tuple(class_order) if class_order else tuple(sorted(set(classes.values())))
+) -> dict[str, frozenset[str]]:
+    """The cases of each attribute class, in column order: the given order,
+    or the sorted class labels. A case of a class outside that order, or
+    without a class, is in no column."""
+    cols = tuple(class_order) if class_order else tuple(sorted(set(classes.values())))
+    members: dict[str, list[str]] = {c: [] for c in cols}
+    for case, label in classes.items():
+        if label in members:
+            members[label].append(case)
+    return {c: frozenset(cases) for c, cases in members.items()}
 
 
-def _class_row(
-    cases: Iterable[str], classes: Mapping[str, str], cols: Sequence[str]
-) -> tuple[int, ...]:
-    """Cases per attribute class, in column order; unclassified cases drop out."""
-    tally = dict.fromkeys(cols, 0)
-    for case in cases:
-        label = classes.get(case)
-        if label is not None:
-            tally[label] += 1
-    return tuple(tally[c] for c in cols)
+def _class_row(cases: frozenset[str], members: Mapping[str, frozenset[str]]) -> tuple[int, ...]:
+    """Cases per attribute class, in column order."""
+    return tuple(len(cases & m) for m in members.values())
 
 
 def participation_table(
@@ -332,13 +333,13 @@ def participation_table(
     *,
     class_order: Sequence[str] | None = None,
 ) -> ContingencyTable:
-    cols = _class_columns(classes, class_order)
+    members = _class_members(classes, class_order)
     return ContingencyTable(
         row_labels=_PARTICIPATION_ROWS,
-        col_labels=cols,
+        col_labels=tuple(members),
         counts=(
-            _class_row(participating, classes, cols),
-            _class_row(non_participating, classes, cols),
+            _class_row(frozenset(participating), members),
+            _class_row(frozenset(non_participating), members),
         ),
     )
 
@@ -361,14 +362,16 @@ def rank_paths(
     if not 0 < alpha < 1:
         raise ConfigError(f"alpha must lie in (0, 1), got {alpha}")
     paths = sorted(grouped, key=lambda p: (-len(grouped[p]), p.label()))
-    cols = _class_columns(classes, class_order)
+    members = _class_members(classes, class_order)
+    cols = tuple(members)
     chains = {path: path.activity_chain() for path in paths}
     # traversers and their class row, once per distinct activity chain
     by_chain = {
-        chain: (traversers, _class_row(traversers, classes, cols))
+        chain: (traversers, _class_row(traversers, members))
         for chain, traversers in _traversing_cases(_variant_index(log), chains.values()).items()
     }
-    tested: list[PathAssociation] = []
+    # (path, frequency, participants, non-participants, table, result)
+    tested: list[tuple] = []
     skipped: list[PathAssociation] = []
     for path in paths:
         part = participating_cases(path, grouped)
@@ -376,18 +379,9 @@ def rank_paths(
         # participants need not traverse the chain (rework loops), so only
         # the overlap leaves the comparison group
         overlap = part & traversers
-        untested = PathAssociation(
-            path=path,
-            frequency=len(grouped[path]),
-            n_participating=len(part),
-            n_non_participating=len(traversers) - len(overlap),
-            table=None,
-            result=None,
-            q_value=None,
-            significant=False,
-        )
-        part_row = _class_row(part, classes, cols)
-        nonpart_row = [t - o for t, o in zip(traverser_row, _class_row(overlap, classes, cols))]
+        counts = (len(grouped[path]), len(part), len(traversers) - len(overlap))
+        part_row = _class_row(part, members)
+        nonpart_row = [t - o for t, o in zip(traverser_row, _class_row(overlap, members))]
         # drop attribute classes absent from both groups before testing
         keep = [j for j in range(len(cols)) if part_row[j] + nonpart_row[j] > 0]
         table = ContingencyTable(
@@ -398,13 +392,17 @@ def rank_paths(
         try:
             result = chi_square(table)
         except ValueError as exc:
-            skipped.append(replace(untested, skipped_reason=str(exc)))
+            skipped.append(PathAssociation(
+                path, *counts, table=None, result=None, q_value=None, significant=False,
+                skipped_reason=str(exc),
+            ))
             continue
-        tested.append(replace(untested, table=table, result=result))
+        tested.append((path, *counts, table, result))
 
-    q_values = benjamini_hochberg([a.result.p_value for a in tested])
+    q_values = benjamini_hochberg([row[-1].p_value for row in tested])
     out = [
-        replace(a, q_value=q, significant=q <= alpha) for a, q in zip(tested, q_values)
+        PathAssociation(*row, q_value=q, significant=q <= alpha)
+        for row, q in zip(tested, q_values)
     ]
     out.sort(key=lambda a: (a.result.p_value, -a.frequency, a.path.label()))
     # paths are in (-frequency, label) order already, so the skipped ones are too

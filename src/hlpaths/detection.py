@@ -13,7 +13,7 @@ coordinate is filtered once per stage.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from datetime import datetime
 from typing import Iterable
 
@@ -47,6 +47,10 @@ class ThresholdTable:
 
 @dataclass(frozen=True, slots=True)
 class HighLevelEvent:
+    """A coordinate whose pattern value reached its threshold. ``steps`` is
+    the counted step list the value was read from, in index bucket order;
+    an event read back from ``hles.jsonl`` has none."""
+
     id: int
     ftype: FeatureType
     segment: Segment
@@ -55,7 +59,7 @@ class HighLevelEvent:
     cases: frozenset[str]
     start_spread: tuple[datetime, datetime]
     end_spread: tuple[datetime, datetime]
-    steps: frozenset[Step] = field(default=frozenset())
+    steps: tuple[Step, ...] = ()
 
     @property
     def coordinate(self) -> tuple[FeatureType, Segment, Theta]:
@@ -158,7 +162,7 @@ def detect_hles(
                         cases=frozenset(s.case for s in steps),
                         start_spread=(min(firsts), max(firsts)),
                         end_spread=(min(seconds), max(seconds)),
-                        steps=frozenset(steps),
+                        steps=tuple(steps),
                     )
                 )
     return hles

@@ -10,9 +10,11 @@ spatial unit everything downstream works on.
 Supported inputs, plain or gzipped (a ``.gz`` name in any case): CSV
 with a header row and configurable column names (:func:`parse_csv`,
 written back by :func:`write_csv`), and flat XES (:func:`parse_xes`),
-read one trace at a time. Both parsers only turn input into events;
+read in one expat pass. Both parsers only turn input into events;
 :class:`EventLog` alone orders a log, repairs repeated timestamps and
-records its time bounds.
+records its time bounds. Events and steps are named tuples, and each step
+carries its segment, so downstream code reads fields instead of
+rebuilding them.
 """
 
 from __future__ import annotations
@@ -21,14 +23,15 @@ import csv
 import gzip
 import io
 import warnings
-import xml.etree.ElementTree as ET
 import zlib
 from collections import Counter
 from contextlib import contextmanager
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from datetime import datetime, timedelta, timezone
+from operator import itemgetter
 from pathlib import Path
 from typing import IO, Iterable, Iterator, NamedTuple
+from xml.parsers import expat
 
 from .errors import ConfigError, LogParseError
 
@@ -37,8 +40,7 @@ _MILLISECOND = timedelta(milliseconds=1)
 _LAST_MOVABLE = datetime.max.replace(tzinfo=timezone.utc) - _MILLISECOND
 
 
-@dataclass(frozen=True, slots=True)
-class Event:
+class Event(NamedTuple):
     """One activity execution. ``attrs`` holds extra input columns verbatim."""
 
     id: str
@@ -55,26 +57,28 @@ class Event:
         return None
 
 
+class Segment(NamedTuple):
+    """The (from-activity, to-activity) label of a step."""
+
+    from_activity: str
+    to_activity: str
+
+
 class Step(NamedTuple):
-    """A pair of directly-following events of the same case."""
+    """A pair of directly-following events of the same case, with the
+    segment it lies on, set once by :func:`derive_steps`."""
 
     first: Event
     second: Event
-
-    @property
-    def segment(self) -> "Segment":
-        return Segment(self.first.activity, self.second.activity)
+    segment: Segment
 
     @property
     def case(self) -> str:
         return self.first.case
 
 
-class Segment(NamedTuple):
-    """The (from-activity, to-activity) label of a step."""
-
-    from_activity: str
-    to_activity: str
+_CASE_TIME = itemgetter(1, 4)  # (Event.case, Event.time)
+_XES_CHUNK = 1 << 14  # bytes fed to the XML parser at a time
 
 
 class EventLog:
@@ -93,7 +97,7 @@ class EventLog:
     __slots__ = ("events", "attribute_schema", "min_time", "max_time", "_traces")
 
     def __init__(self, events: Iterable[Event], attribute_schema: Iterable[str] = ()):
-        ordered = sorted(events, key=lambda e: (e.case, e.time))
+        ordered = sorted(events, key=_CASE_TIME)
         if not ordered:
             raise LogParseError("log has no events")
         traces: dict[str, list[Event]] = {}
@@ -110,9 +114,7 @@ class EventLog:
                 if prev.time > _LAST_MOVABLE:
                     raise LogParseError(f"case {event.case!r}: no time left to move "
                                         f"event {event.id!r} past {prev.time}")
-                event = ordered[i] = Event(event.id, event.case, event.activity,
-                                           event.resource, prev.time + _MILLISECOND,
-                                           event.attrs)
+                event = ordered[i] = event._replace(time=prev.time + _MILLISECOND)
                 repaired += 1
             trace.append(event)
             prev = event
@@ -283,60 +285,121 @@ def parse_csv(
     return EventLog(raw_events, attribute_schema=extra_columns)
 
 
-def _xes_traces(stream: IO[bytes]) -> Iterator[ET.Element]:
-    """The ``trace`` elements of an XES stream, each as it ends. Input the
-    XML parser refuses, an unknown declared encoding included, raises
-    :class:`LogParseError`."""
-    try:
-        for _, elem in ET.iterparse(stream):
-            tag = elem.tag
-            if tag == "trace" or tag.endswith("}trace"):
-                yield elem
-    except (ET.ParseError, LookupError) as exc:
-        raise LogParseError(f"not valid XML: {exc}") from None
+class _OpenTrace:
+    """A ``trace`` element being read: its depth, its case name once seen,
+    the attribute maps of its finished events and of the open one."""
+
+    __slots__ = ("depth", "name", "events", "event")
+
+    def __init__(self, depth: int):
+        self.depth = depth
+        self.name: str | None = None
+        self.events: list[dict[str | None, str]] = []
+        self.event: dict[str | None, str] | None = None
 
 
 def parse_xes(source: str | Path | IO | bytes) -> EventLog:
-    """Load a flat XES log (string/date attributes of trace/event elements).
+    """Load a flat XES log (the keyed attributes of trace and event elements).
 
-    The log is read one ``trace`` element at a time, each cleared once
-    read. concept:name of a trace maps to the case id, concept:name of an
-    event to the activity, org:resource to the resource, time:timestamp to
-    the timestamp and lifecycle:transition is merged into the activity
-    name. A trace without a name or with a malformed timestamp raises
-    :class:`LogParseError` naming its 1-based position. Events without a
-    timestamp are skipped (one warning with the count). :class:`EventLog`
-    orders the events and offsets repeated timestamps.
+    The file is read in one ``xml.parsers.expat`` pass whose start and end
+    handlers track the element depth; no element tree is built. Elements
+    match by local name, in any namespace. Of a ``trace``, only its first
+    ``string`` child keyed concept:name (the case id) and its ``event``
+    children are read. Of an ``event``, the ``key`` and ``value`` of each
+    child element are read: concept:name is the activity, org:resource the
+    resource, time:timestamp the timestamp, and lifecycle:transition is
+    merged into the activity name. Nested meta-attributes and events
+    outside a trace are ignored. Each distinct activity and resource is
+    built once per parse and shared by its events.
+
+    A trace is handled when it ends, so a trace nested in another one is
+    numbered first. A trace without a name or with a malformed timestamp
+    raises :class:`LogParseError` naming its 1-based position, as does
+    input the XML parser refuses. Entity references that a document's
+    unread external DTD may declare are skipped, as a non-validating
+    parser does. Events without a timestamp are skipped (one warning with
+    the count). :class:`EventLog` orders the events and offsets repeated
+    timestamps.
     """
     raw_events: list[Event] = []
     skipped = 0
+    n_traces = 0
+    depth = 0
+    open_traces: list[_OpenTrace] = []
+    local_names: dict[str, str] = {}
+    activities: dict[tuple[str, str], str] = {}
+    resources: dict[str, str] = {}
+
+    def start(tag: str, attrs: dict[str, str]) -> None:
+        nonlocal depth
+        depth += 1
+        name = local_names.get(tag)
+        if name is None:
+            name = local_names[tag] = tag.rpartition("}")[2]
+        if name == "trace":
+            open_traces.append(_OpenTrace(depth))
+        elif open_traces:
+            trace = open_traces[-1]
+            if trace.event is not None:
+                if depth == trace.depth + 2:
+                    trace.event[attrs.get("key")] = attrs.get("value", "")
+            elif depth == trace.depth + 1:
+                if name == "event":
+                    trace.event = {}
+                elif (name == "string" and trace.name is None
+                      and attrs.get("key") == "concept:name"):
+                    trace.name = attrs.get("value", "")
+
+    def end(tag: str) -> None:
+        nonlocal depth, n_traces
+        if open_traces:
+            trace = open_traces[-1]
+            if depth == trace.depth:
+                open_traces.pop()
+                n_traces += 1
+                add_trace(trace, n_traces)
+            elif depth == trace.depth + 1 and trace.event is not None:
+                trace.events.append(trace.event)
+                trace.event = None
+        depth -= 1
+
+    def add_trace(trace: _OpenTrace, n: int) -> None:
+        nonlocal skipped
+        case = trace.name
+        if not case:
+            raise LogParseError(f"trace {n} has no concept:name")
+        for fields in trace.events:
+            stamp = fields.get("time:timestamp")
+            if stamp is None:
+                skipped += 1
+                continue
+            try:
+                time = parse_timestamp(stamp)
+            except LogParseError as exc:
+                raise LogParseError(f"trace {n}: {exc}") from None
+            key = (fields.get("concept:name", ""), fields.get("lifecycle:transition", ""))
+            activity = activities.get(key)
+            if activity is None:
+                activity = activities[key] = merge_lifecycle(key[0].strip(), key[1])
+            raw = fields.get("org:resource", "")
+            resource = resources.get(raw)
+            if resource is None:
+                resource = resources[raw] = raw.strip()
+            raw_events.append(Event(f"e{len(raw_events)}", case, activity, resource, time))
+
+    parser = expat.ParserCreate(None, "}")
+    parser.StartElementHandler = start
+    parser.EndElementHandler = end
     with _open(source, binary=True) as stream:
-        for n_trace, elem in enumerate(_xes_traces(stream), start=1):
-            name = elem.find("{*}string[@key='concept:name']")
-            case = "" if name is None else name.get("value", "")
-            if not case:
-                raise LogParseError(f"trace {n_trace} has no concept:name")
-            for ev in elem.iterfind("{*}event"):
-                fields = {attr.get("key"): attr.get("value", "") for attr in ev}
-                if "time:timestamp" not in fields:
-                    skipped += 1
-                    continue
-                try:
-                    time = parse_timestamp(fields["time:timestamp"])
-                except LogParseError as exc:
-                    raise LogParseError(f"trace {n_trace}: {exc}") from None
-                activity = fields.get("concept:name", "").strip()
-                lifecycle = fields.get("lifecycle:transition", "")
-                if lifecycle:
-                    activity = merge_lifecycle(activity, lifecycle)
-                raw_events.append(Event(
-                    id=f"e{len(raw_events)}",
-                    case=case,
-                    activity=activity,
-                    resource=fields.get("org:resource", "").strip(),
-                    time=time,
-                ))
-            elem.clear()
+        try:
+            while chunk := stream.read(_XES_CHUNK):
+                parser.Parse(chunk, False)
+            parser.Parse(b"", True)
+        except LogParseError:
+            raise
+        except (expat.ExpatError, LookupError, ValueError) as exc:
+            # ValueError: a declared multi-byte encoding expat cannot use
+            raise LogParseError(f"not valid XML: {exc}") from None
     if skipped:
         warnings.warn(f"skipped {skipped} event(s) without a timestamp", stacklevel=2)
     return EventLog(raw_events)
@@ -349,12 +412,14 @@ def derive_steps(log: EventLog) -> tuple[tuple[Step, ...], Counter]:
     """
     steps: list[Step] = []
     counts: Counter = Counter()
+    segments: dict[Segment, Segment] = {}
     for case in log.cases:
         trace = log.trace(case)
         for first, second in zip(trace, trace[1:]):
-            step = Step(first, second)
-            steps.append(step)
-            counts[step.segment] += 1
+            segment = Segment(first.activity, second.activity)
+            segment = segments.setdefault(segment, segment)
+            steps.append(Step(first, second, segment))
+            counts[segment] += 1
     return tuple(steps), counts
 
 

@@ -109,7 +109,10 @@ class StepIndex:
     * ``entering_by_segment`` / ``exiting_by_segment``: segment ->
       {entry / exit window -> steps}, again occupied windows only.
 
-    Every bucket map is in ascending window (pair) order.
+    Every bucket map is in ascending window (pair) order. Steps are filed
+    under the segment they carry. Their windows are floor divisions by the
+    framing width; the framing's origin check is made once, on the log's
+    first event, which no step precedes.
     """
 
     __slots__ = (
@@ -137,14 +140,15 @@ class StepIndex:
         self.pairs_by_segment: dict[Segment, dict[tuple[int, int], tuple[Step, ...]]] = {}
         self.entering_by_segment: dict[Segment, dict[int, tuple[Step, ...]]] = {}
         self.exiting_by_segment: dict[Segment, dict[int, tuple[Step, ...]]] = {}
+        origin, width = framing.origin, framing.width
         for segment, steps in steps_by_segment.items():
             self.steps_by_segment[segment] = tuple(steps)
             pairs: dict[tuple[int, int], list[Step]] = {}
             enter: dict[int, list[Step]] = {}
             exit_: dict[int, list[Step]] = {}
             for step in steps:
-                w_in = framing.window_index(step.first.time)
-                w_out = framing.window_index(step.second.time)
+                w_in = (step.first.time - origin) // width
+                w_out = (step.second.time - origin) // width
                 pairs.setdefault((w_in, w_out), []).append(step)
                 enter.setdefault(w_in, []).append(step)
                 exit_.setdefault(w_out, []).append(step)

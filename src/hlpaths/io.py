@@ -14,7 +14,7 @@
 
 Writers take the data and an open text stream. The readers raise
 :class:`LogParseError` with the 1-based line number of a malformed line.
-Steps stay behind: an event read back carries no step set.
+Steps stay behind: an event read back carries no steps.
 """
 
 from __future__ import annotations
@@ -58,21 +58,40 @@ def hle_to_dict(h: HighLevelEvent) -> dict:
     }
 
 
-def hle_from_dict(d: dict) -> HighLevelEvent:
-    theta = d["theta"]
-    start = tuple(datetime.fromisoformat(t) for t in d["start_spread"])
-    end = tuple(datetime.fromisoformat(t) for t in d["end_spread"])
-    if start[0] > start[1] or end[0] > end[1]:
+def _spread(times: list[str]) -> tuple[datetime, datetime]:
+    first, last = (datetime.fromisoformat(t) for t in times)
+    if first.tzinfo is None or last.tzinfo is None:
+        raise ValueError("a spread time has no UTC offset")
+    if first > last:
         raise ValueError("a spread starts after it ends")
+    return first, last
+
+
+def hle_from_dict(d: dict) -> HighLevelEvent:
+    """The event a :func:`hle_to_dict` object describes. A theta of the
+    wrong shape for the type, cases other than a list of names, or a spread
+    that is not two times with UTC offsets in order raise ValueError."""
+    ftype = FeatureType.parse(d["type"])
+    theta = d["theta"]
+    if ftype.uses_window_pair:
+        if not (isinstance(theta, list) and len(theta) == 2
+                and all(type(w) is int for w in theta)):
+            raise ValueError(f"{ftype.value} theta must be a pair of windows, got {theta!r}")
+        theta = (theta[0], theta[1])
+    elif type(theta) is not int:
+        raise ValueError(f"{ftype.value} theta must be one window, got {theta!r}")
+    cases = d["cases"]
+    if not isinstance(cases, list) or not set(map(type, cases)) <= {str}:
+        raise ValueError("cases must be a list of case names")
     return HighLevelEvent(
         id=int(d["id"]),
-        ftype=FeatureType.parse(d["type"]),
+        ftype=ftype,
         segment=Segment(*d["segment"]),
-        theta=theta if isinstance(theta, int) else (int(theta[0]), int(theta[1])),
+        theta=theta,
         value=float(d["value"]),
-        cases=frozenset(d["cases"]),
-        start_spread=(start[0], start[1]),
-        end_spread=(end[0], end[1]),
+        cases=frozenset(cases),
+        start_spread=_spread(d["start_spread"]),
+        end_spread=_spread(d["end_spread"]),
     )
 
 

@@ -218,6 +218,23 @@ HLE_DEFECTS = {
             "2024-01-02T00:00:00+00:00", "2024-01-01T00:00:00+00:00"]}),
         "malformed high-level event: a spread starts after it ends",
     ),
+    "string-cases": (_set("cases", "c1"), "malformed high-level event: cases must be a list"),
+    "non-string-cases": (_set("cases", [1, None]),
+                         "malformed high-level event: cases must be a list"),
+    # naive spreads beside the aware ones of every other line
+    "naive-spread": (
+        lambda line: json.dumps({**json.loads(line), "start_spread": [
+            "2024-01-01T00:00:00", "2024-01-02T00:00:00"]}),
+        "malformed high-level event: a spread time has no UTC offset",
+    ),
+    "pair-theta-on-window-type": (
+        lambda line: json.dumps({**json.loads(line), "type": "exit", "theta": [1, 2]}),
+        "malformed high-level event: exit theta must be one window, got [1, 2]",
+    ),
+    "window-theta-on-pair-type": (
+        lambda line: json.dumps({**json.loads(line), "type": "delay", "theta": 3}),
+        "malformed high-level event: delay theta must be a pair of windows, got 3",
+    ),
 }
 
 

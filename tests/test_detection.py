@@ -175,7 +175,7 @@ def test_serialization_round_trip(idx):
         assert a.cases == b.cases
         assert a.start_spread == b.start_spread
         assert a.end_spread == b.end_spread
-        assert b.steps == frozenset()  # steps stay behind on purpose
+        assert b.steps == ()  # steps stay behind on purpose
 
 
 def test_hle_dict_shape(idx):
@@ -231,6 +231,32 @@ def occupied_thetas(index, ftype, segment):
     if ftype.uses_window_pair:
         return list(index.pairs_by_segment[segment])
     return list(index.exiting_by_segment[segment])
+
+
+def bucket(index, ftype, segment, theta):
+    if ftype is FeatureType.ENTER:
+        return index.entering_by_segment[segment][theta]
+    if ftype.uses_window_pair:
+        return index.pairs_by_segment[segment][theta]
+    return index.exiting_by_segment[segment][theta]
+
+
+def test_event_steps_are_its_counted_list_in_bucket_order():
+    index = build_indices(long_log(), Framing(width=DAY, origin=T0))
+    delta = compute_delay_thresholds(index, 70)
+    blacklist = frozenset({"r3"})
+    table = compute_thresholds(index, 60, delay_thresholds=delta, blacklist=blacklist)
+    hles = detect_hles(index, table, delay_thresholds=delta, blacklist=blacklist)
+    assert {h.ftype for h in hles} == set(FeatureType)
+    for h in hles:
+        counted = patterns.counted_steps(
+            h.ftype, h.segment, index, delay_thresholds=delta, blacklist=blacklist
+        )[h.theta]
+        assert h.steps == tuple(counted)
+        assert len(h.steps) == h.value
+        kept = set(h.steps)
+        assert h.steps == tuple(s for s in bucket(index, h.ftype, h.segment, h.theta)
+                                if s in kept)
 
 
 def test_detection_filters_each_occupied_coordinate_once(monkeypatch):

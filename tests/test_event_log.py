@@ -245,6 +245,15 @@ def test_parse_xes_malformed_timestamp_names_trace():
         parse_xes(XES.replace("</log>", second + "</log>").encode())
 
 
+def test_parse_xes_skips_entities_an_external_dtd_may_declare():
+    with_dtd = XES.replace("\n<log ", '\n<!DOCTYPE log SYSTEM "xes.dtd">\n<log ')
+    with pytest.warns(UserWarning, match="without a timestamp"):
+        log = parse_xes(with_dtd.replace("<event>", "<event>&note;", 1).encode())
+    assert log.activity_sequence("c1") == ("submit|COMPLETE", "review")
+    with pytest.raises(LogParseError, match="not valid XML: undefined entity"):
+        parse_xes(XES.replace("<event>", "<event>&note;", 1).encode())
+
+
 def test_parse_xes_rejects_garbage():
     with pytest.raises(LogParseError, match="not valid XML"):
         parse_xes(b"<log><trace>")

@@ -1,6 +1,8 @@
 """Fuzzing of every input boundary: whatever the bytes, a reader either
 returns or raises a typed error (:class:`LogParseError` or
-:class:`ConfigError`), never anything else.
+:class:`ConfigError`), never anything else. The XES reader must moreover
+agree with the element-tree reader of the oracles, on mutated and on
+generated documents.
 
 Each reader gets arbitrary input, byte-level mutations of a valid file and
 structured input whose values are arbitrary. The example counts are capped
@@ -20,6 +22,7 @@ from hypothesis import strategies as st
 from hlpaths.errors import ConfigError, LogParseError
 from hlpaths.event_log import parse_csv, parse_xes
 from hlpaths.io import read_episodes, read_hles
+from oracles import o_parse_xes
 
 fuzz = settings(max_examples=60, deadline=None, suppress_health_check=[HealthCheck.too_slow])
 
@@ -110,6 +113,19 @@ def read_episodes_text(text):
         json.dumps(h) + "\n" for h in HLES)))
 
 
+def xes_outcome(read, data):
+    """What ``read(data)`` gives: the events' (id, case, activity,
+    resource, time) or the typed error, and the warnings raised."""
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        try:
+            log = read(data)
+            result = [(e.id, e.case, e.activity, e.resource, e.time) for e in log.events]
+        except LogParseError as exc:
+            result = (type(exc), str(exc))
+    return result, [str(w.message) for w in caught]
+
+
 # --- event logs ---------------------------------------------------------------
 
 @fuzz
@@ -143,14 +159,18 @@ def test_parse_csv_arbitrary_fields(rows):
 @fuzz
 @given(data=st.binary(max_size=400))
 @example(data=b'<?xml version="1.0" encoding="nope"?><log/>')
+@example(data=b'<?xml version="1.0" encoding="shift_jis"?><log/>')
 def test_parse_xes_arbitrary_bytes(data):
     typed_or_result(parse_xes, data)
 
 
 @fuzz
 @given(changes=edits)
+@example(changes=[(3, "r", "!")])
+@example(changes=[(40, "i", "&")])
 def test_parse_xes_mutated(changes):
-    typed_or_result(parse_xes, mutate(XES, changes).encode("utf-8", "surrogatepass"))
+    data = mutate(XES, changes).encode("utf-8", "surrogatepass")
+    assert xes_outcome(parse_xes, data) == xes_outcome(o_parse_xes, data)
 
 
 @fuzz
@@ -181,6 +201,119 @@ def test_parse_xes_arbitrary_values(traces):
     typed_or_result(parse_xes, data)
 
 
+XES_KEYS = st.sampled_from(
+    ["concept:name", "org:resource", "lifecycle:transition", "time:timestamp", "other", None])
+# mostly well-formed, so that many documents give a log
+XES_STAMPS = st.sampled_from([
+    "2024-03-01T08:00:00.000+00:00", "2024-03-01T08:00:00+01:00", "2024-03-02 09:30:00",
+    "2024-03-01T08:00:00Z", "2024-03-03T10:00:00.5-02:00", "nope", "", None,
+])
+XES_VALUES = st.sampled_from(["", " a ", "b", "complete", " start ", "r1", None])
+XES_NAMES = st.sampled_from(["c1", "c2", "c3", "c1", "c2", "", None])
+
+
+@st.composite
+def xes_attribute(draw, nested=True):
+    """A typed attribute element, its value possibly written before its key,
+    possibly carrying meta-attributes."""
+    attrs = []
+    key = draw(XES_KEYS)
+    value = draw(XES_STAMPS if key == "time:timestamp" else XES_VALUES)
+    if key is not None:
+        attrs.append(f"key={quoteattr(key)}")
+    if value is not None:
+        attrs.append(f"value={quoteattr(value)}")
+    if draw(st.booleans()):
+        attrs.reverse()
+    tag = draw(st.sampled_from(["string", "date", "int"]))
+    meta = draw(st.lists(xes_attribute(nested=False), max_size=2)) if nested else []
+    return ("attr", tag, " ".join(attrs), meta)
+
+
+@st.composite
+def xes_event(draw, traces=True):
+    children = draw(st.lists(
+        xes_attribute() | xes_trace(events=False) if traces else xes_attribute(), max_size=4))
+    stamp = draw(XES_STAMPS)
+    if stamp is not None:
+        pos = draw(st.integers(0, len(children)))
+        children.insert(pos, ("attr", "date", f'key="time:timestamp" value="{stamp}"', []))
+    return ("event", children)
+
+
+@st.composite
+def xes_trace(draw, events=True):
+    """A trace whose name, if any, sits anywhere among its children; with
+    ``events`` its events can hold a nested trace."""
+    children = draw(st.lists(xes_event(traces=events) | xes_attribute(), max_size=4))
+    name = draw(XES_NAMES)
+    if name is not None:
+        pos = draw(st.integers(0, len(children)))
+        children.insert(pos, ("attr", "string", f'key="concept:name" value="{name}"', []))
+    return ("trace", children)
+
+
+def render_xes(node, prefix):
+    kind = node[0]
+    if kind == "attr":
+        _, tag, attrs, meta = node
+        inner = "".join(render_xes(m, prefix) for m in meta)
+        return f"<{prefix}{tag} {attrs}>{inner}</{prefix}{tag}>"
+    return (f"<{prefix}{kind}>" + "".join(render_xes(c, prefix) for c in node[1])
+            + f"</{prefix}{kind}>")
+
+
+@st.composite
+def xes_documents(draw):
+    """A log of traces and stray events, without a namespace, in the
+    default one or under a prefix."""
+    prefix, declaration = draw(st.sampled_from([
+        ("", ""),
+        ("", ' xmlns="http://www.xes-standard.org/"'),
+        ("x:", ' xmlns:x="http://www.xes-standard.org/"'),
+    ]))
+    children = draw(st.lists(xes_trace() | xes_event(traces=False), max_size=4))
+    body = "".join(render_xes(c, prefix) for c in children)
+    return f"<{prefix}log{declaration}>{body}</{prefix}log>".encode()
+
+
+NESTED = """<log><trace><string key="concept:name" value="outer"/>
+<event><date key="time:timestamp" value="2024-03-01T08:00:00Z"/>
+  <trace><event><string key="concept:name" value="a"/>
+    <date key="time:timestamp" value="2024-03-01T09:00:00Z"/></event>
+    <string key="concept:name" value="inner"/></trace></event>
+</trace></log>"""
+
+
+@fuzz
+@given(data=xes_documents())
+@example(data=XES.replace("<log ", "<x:log xmlns:x='http://www.xes-standard.org/' ")
+         .replace("</log>", "</x:log>").replace("<trace>", "<x:trace>")
+         .replace("</trace>", "</x:trace>").replace("<event>", "<x:event>")
+         .replace("</event>", "</x:event>").replace("<string ", "<x:string ")
+         .replace("<date ", "<x:date ").encode())  # a namespace prefix
+@example(data=XES.replace('value="submit"/>', 'value="submit"><date key="time:timestamp" '
+                          'value="nope"/></string>').encode())  # meta-attributes
+@example(data=XES.replace('key="org:resource" value="alice"',
+                          'value=" alice " key="org:resource"').encode())  # value before key
+@example(data=XES.replace('<string key="concept:name" value="c1"/>\n', "", 1)
+         .replace("</trace>", '<string key="concept:name" value="c1"/></trace>')
+         .encode())  # the trace name after its events
+@example(data=XES.replace("<trace>", "<event><date key='time:timestamp' "
+                          "value='2024-01-01T00:00:00Z'/></event><trace>").encode())
+@example(data=XES.replace('<string key="concept:name" value="c1"/>', "").encode())
+@example(data=XES.replace('<date key="time:timestamp" value="2024-03-01T09:00:00.000+00:00"/>',
+                          "").encode())  # an event without a timestamp
+@example(data=XES.replace(  # only the first string keyed concept:name names a trace
+    '<string key="concept:name" value="c1"/>', '<date key="concept:name" value="d"/>'
+    '<string key="concept:name" value="c1"/><string key="concept:name" value="c9"/>', 1
+).encode())
+@example(data=NESTED.encode())  # a trace inside an event is read, numbered first
+@example(data=NESTED.replace('value="inner"', 'value=""').encode())
+def test_parse_xes_matches_element_tree_oracle(data):
+    assert xes_outcome(parse_xes, data) == xes_outcome(o_parse_xes, data)
+
+
 # --- hles.jsonl and episodes.jsonl ---------------------------------------------
 
 @fuzz
@@ -199,6 +332,11 @@ def test_read_hles_mutated(changes):
 @given(key=st.sampled_from(sorted(HLE)), value=json_values)
 @example(key="type", value=None)
 @example(key="id", value=float("inf"))
+@example(key="cases", value="c1")
+@example(key="cases", value=[1, None])
+@example(key="start_spread", value=["2024-03-01T08:00:00", "2024-03-01T09:00:00"])
+@example(key="type", value="exit")  # a window pair on a single-window type
+@example(key="theta", value=1)  # one window on the pair type batch
 def test_read_hles_arbitrary_values(key, value):
     typed_or_result(read_hles_text, json.dumps({**HLE, key: value}) + "\n")
 

@@ -1,5 +1,6 @@
 """Commands start on the standard library: numpy loads only to generate a
-log, PyYAML only to read a config file, and scipy never.
+log, PyYAML only to read a config file, and scipy never. XES is read with
+expat alone, without the element tree.
 
 Each check runs in a fresh interpreter with ``PYTHONPATH=src``, so modules
 the test session already imported do not hide a top-level import.
@@ -16,9 +17,9 @@ ROOT = Path(__file__).resolve().parents[1]
 THIRD_PARTY = ("numpy", "scipy", "yaml")
 
 
-def _loaded_after(code, cwd):
-    """The third-party modules loaded once ``code`` has run."""
-    code += f"\nimport sys\nprint(*[m for m in {THIRD_PARTY!r} if m in sys.modules])"
+def _loaded_after(code, cwd, modules=THIRD_PARTY):
+    """Those of ``modules`` loaded once ``code`` has run."""
+    code += f"\nimport sys\nprint(*[m for m in {modules!r} if m in sys.modules])"
     env = {**os.environ, "PYTHONPATH": str(ROOT / "src")}
     done = subprocess.run([sys.executable, "-c", code], cwd=cwd, env=env,
                           capture_output=True, text=True, timeout=120)
@@ -28,6 +29,18 @@ def _loaded_after(code, cwd):
 
 def test_importing_the_cli_loads_no_third_party_module(tmp_path):
     assert _loaded_after("import hlpaths, hlpaths.cli", tmp_path) == []
+
+
+def test_reading_xes_loads_expat_not_the_element_tree(tmp_path):
+    loaded = _loaded_after(
+        "import hlpaths.cli\n"
+        "log = hlpaths.cli.parse_xes(b'<log><trace><string key=\"concept:name\" value=\"c1\"/>"
+        "<event><date key=\"time:timestamp\" value=\"2024-03-01T08:00:00Z\"/></event>"
+        "</trace></log>')\n"
+        "assert len(log) == 1",
+        tmp_path, modules=("xml.etree", "xml.parsers.expat"),
+    )
+    assert loaded == ["xml.parsers.expat"]
 
 
 def test_generate_loads_numpy_alone(tmp_path):
