@@ -1,8 +1,8 @@
 """Run configuration: one flat record of every pipeline knob.
 
-Configs round-trip through YAML. The case-overlap level is called
-``lambda`` in files and on the command line; inside Python it lives as
-``lam`` (the bare word is reserved).
+A config is read from a mapping or a YAML file; nothing writes one back.
+The case-overlap level is called ``lambda`` in files and on the command
+line; inside Python it lives as ``lam`` (the bare word is reserved).
 """
 
 from __future__ import annotations
@@ -113,16 +113,6 @@ class RunConfig:
             kwargs[name] = value
         return cls(**kwargs)
 
-    def to_dict(self) -> dict:
-        back = {v: k for k, v in _ALIASES.items()}
-        out = {}
-        for f in dataclasses.fields(self):
-            value = getattr(self, f.name)
-            if isinstance(value, tuple):
-                value = list(value)
-            out[back.get(f.name, f.name)] = value
-        return out
-
     @classmethod
     def from_yaml(cls, source: Union[str, IO[str]]) -> "RunConfig":
         """A config read from a YAML stream or path; malformed YAML raises
@@ -141,8 +131,3 @@ class RunConfig:
             problem = getattr(exc, "problem", None) or str(exc)
             raise ConfigError(f"config is not valid YAML{where}: {problem}") from None
         return cls.from_dict(data or {})
-
-    def to_yaml(self, fp: IO[str]) -> None:
-        import yaml
-
-        yaml.safe_dump(self.to_dict(), fp, sort_keys=True, default_flow_style=False)

@@ -30,11 +30,6 @@ from .event_log import EventLog
 from .linkage import Episode, HighLevelPath
 from .patterns import nearest_rank
 
-# 95% critical values of the chi-square distribution for the table shapes
-# that actually occur (2x2 and 2x3 / 3x2)
-CHI2_CRITICAL_95 = {1: 3.8414588206941285, 2: 5.991464547107983}
-
-
 def participating_cases(
     path: HighLevelPath, grouped: Mapping[HighLevelPath, list[Episode]]
 ) -> frozenset[str]:
@@ -85,18 +80,13 @@ def non_participating_cases(
 
 # --- case attributes -------------------------------------------------------
 
-def derive_outcome(
-    log: EventLog,
-    success_activity: str,
-    *,
-    positive: str = "success",
-    negative: str = "failure",
-) -> dict[str, str]:
-    """Binary outcome per case: did the marker activity ever occur?"""
+def derive_outcome(log: EventLog, success_activity: str) -> dict[str, str]:
+    """Binary outcome per case, "success" or "failure": did the marker
+    activity ever occur?"""
     out: dict[str, str] = {}
     for case in log.cases:
         seq = log.activity_sequence(case)
-        out[case] = positive if success_activity in seq else negative
+        out[case] = "success" if success_activity in seq else "failure"
     return out
 
 
@@ -123,16 +113,14 @@ class AttributeBinning:
             raise ConfigError(f"bin edges must strictly increase, got {self.edges}")
 
     @classmethod
-    def from_edges(
-        cls, edges: Sequence[float], labels: Sequence[str] | None = None
-    ) -> "AttributeBinning":
+    def from_edges(cls, edges: Sequence[float]) -> "AttributeBinning":
+        """Bins at ``edges``, labelled "<e1", "[e1,e2)", ..., ">=ek"."""
         edges = tuple(float(e) for e in edges)
-        if labels is None:
-            labels = (
-                [f"<{edges[0]:g}"]
-                + [f"[{a:g},{b:g})" for a, b in zip(edges, edges[1:])]
-                + [f">={edges[-1]:g}"]
-            )
+        labels = (
+            [f"<{edges[0]:g}"]
+            + [f"[{a:g},{b:g})" for a, b in zip(edges, edges[1:])]
+            + [f">={edges[-1]:g}"]
+        )
         return cls(edges=edges, labels=tuple(labels))
 
     @classmethod
@@ -173,16 +161,6 @@ class ContingencyTable:
         ):
             raise ValueError("table shape does not match its labels")
 
-    @property
-    def total(self) -> int:
-        return sum(sum(r) for r in self.counts)
-
-    def row_totals(self) -> tuple[int, ...]:
-        return tuple(sum(r) for r in self.counts)
-
-    def col_totals(self) -> tuple[int, ...]:
-        return tuple(sum(col) for col in zip(*self.counts))
-
 
 @dataclass(frozen=True, slots=True)
 class ChiSquareResult:
@@ -191,9 +169,6 @@ class ChiSquareResult:
     p_value: float
     expected: tuple[tuple[float, ...], ...]
     low_expected: bool
-
-    def significant_at(self, alpha: float = 0.05) -> bool:
-        return self.p_value < alpha
 
 
 def chi_square(table: ContingencyTable | Sequence[Sequence[int]]) -> ChiSquareResult:
@@ -255,25 +230,6 @@ def chi2_sf(stat: float, dof: int) -> float:
     return p
 
 
-def critical_value(dof: int, alpha: float = 0.05) -> float:
-    """Chi-square critical value; tabulated for the common cases, bisection
-    on :func:`chi2_sf` otherwise."""
-    if alpha == 0.05 and dof in CHI2_CRITICAL_95:
-        return CHI2_CRITICAL_95[dof]
-    if not 0 < alpha < 1:
-        raise ConfigError(f"alpha must lie in (0, 1), got {alpha}")
-    lo, hi = 0.0, 10.0
-    while chi2_sf(hi, dof) > alpha:
-        hi *= 2
-    for _ in range(200):
-        mid = (lo + hi) / 2
-        if chi2_sf(mid, dof) > alpha:
-            lo = mid
-        else:
-            hi = mid
-    return (lo + hi) / 2
-
-
 def benjamini_hochberg(p_values: Sequence[float]) -> list[float]:
     """BH step-up adjusted p-values (q-values), order preserved."""
     n = len(p_values)
@@ -324,24 +280,6 @@ def _class_members(
 def _class_row(cases: frozenset[str], members: Mapping[str, frozenset[str]]) -> tuple[int, ...]:
     """Cases per attribute class, in column order."""
     return tuple(len(cases & m) for m in members.values())
-
-
-def participation_table(
-    participating: frozenset[str],
-    non_participating: frozenset[str],
-    classes: Mapping[str, str],
-    *,
-    class_order: Sequence[str] | None = None,
-) -> ContingencyTable:
-    members = _class_members(classes, class_order)
-    return ContingencyTable(
-        row_labels=_PARTICIPATION_ROWS,
-        col_labels=tuple(members),
-        counts=(
-            _class_row(frozenset(participating), members),
-            _class_row(frozenset(non_participating), members),
-        ),
-    )
 
 
 def rank_paths(

@@ -41,20 +41,13 @@ _LAST_MOVABLE = datetime.max.replace(tzinfo=timezone.utc) - _MILLISECOND
 
 
 class Event(NamedTuple):
-    """One activity execution. ``attrs`` holds extra input columns verbatim."""
+    """One activity execution."""
 
     id: str
     case: str
     activity: str
     resource: str
     time: datetime
-    attrs: tuple[tuple[str, str], ...] = ()
-
-    def attr(self, name: str) -> str | None:
-        for key, value in self.attrs:
-            if key == name:
-                return value
-        return None
 
 
 class Segment(NamedTuple):
@@ -94,9 +87,9 @@ class EventLog:
     Instances are safe to share across threads.
     """
 
-    __slots__ = ("events", "attribute_schema", "min_time", "max_time", "_traces")
+    __slots__ = ("events", "min_time", "max_time", "_traces")
 
-    def __init__(self, events: Iterable[Event], attribute_schema: Iterable[str] = ()):
+    def __init__(self, events: Iterable[Event]):
         ordered = sorted(events, key=_CASE_TIME)
         if not ordered:
             raise LogParseError("log has no events")
@@ -125,7 +118,6 @@ class EventLog:
                 stacklevel=2,
             )
         self.events: tuple[Event, ...] = tuple(ordered)
-        self.attribute_schema: tuple[str, ...] = tuple(attribute_schema)
         self._traces: dict[str, tuple[Event, ...]] = {
             case: tuple(trace) for case, trace in traces.items()
         }
@@ -143,10 +135,6 @@ class EventLog:
     def cases(self) -> tuple[str, ...]:
         return tuple(self._traces)
 
-    @property
-    def traces(self) -> dict[str, tuple[Event, ...]]:
-        return dict(self._traces)
-
     def trace(self, case: str) -> tuple[Event, ...]:
         return self._traces[case]
 
@@ -160,7 +148,7 @@ class CsvSchema:
 
     ``case``, ``activity`` and ``timestamp`` are required in the header;
     ``resource`` and ``lifecycle`` may be set to None when the log has no
-    such column. Any further columns are retained as extra attributes.
+    such column. Any further columns are ignored.
     """
 
     case: str = "case"
@@ -238,9 +226,10 @@ def parse_csv(
 
     Each row becomes an event; :class:`EventLog` orders them and offsets
     repeated timestamps. When a lifecycle column is configured, the
-    activity is rewritten to "activity|LIFECYCLE". A row with the wrong
-    number of fields, an empty case id or a malformed timestamp raises
-    :class:`LogParseError` with its line number.
+    activity is rewritten to "activity|LIFECYCLE". Columns the schema does
+    not name are ignored. A row with the wrong number of fields, an empty
+    case id or a malformed timestamp raises :class:`LogParseError` with its
+    line number.
     """
     raw_events: list[Event] = []
     with _open(source, binary=False) as stream:
@@ -254,8 +243,6 @@ def parse_csv(
         missing = [c for c in schema.required_columns() if c not in header]
         if missing:
             raise ConfigError(f"missing required column(s): {', '.join(missing)}")
-        known = set(schema.required_columns())
-        extra_columns = [c for c in header if c not in known]
 
         for n, row in enumerate(reader):
             # DictReader files surplus fields under None and pads short rows with None
@@ -273,16 +260,14 @@ def parse_csv(
             if schema.lifecycle is not None:
                 activity = merge_lifecycle(activity, row[schema.lifecycle])
             resource = row[schema.resource].strip() if schema.resource else ""
-            attrs = tuple((c, row[c]) for c in extra_columns)
             raw_events.append(Event(
                 id=f"e{n}",
                 case=case,
                 activity=activity,
                 resource=resource,
                 time=time,
-                attrs=attrs,
             ))
-    return EventLog(raw_events, attribute_schema=extra_columns)
+    return EventLog(raw_events)
 
 
 class _OpenTrace:
@@ -448,21 +433,20 @@ def write_csv(
     target: str | Path | IO,
     schema: CsvSchema = CsvSchema(),
 ) -> None:
-    """Write a log in the canonical CSV layout (plus any extra attributes)."""
+    """Write a log in the canonical CSV layout: case, activity, timestamp
+    and, when the schema names one, resource."""
     own = isinstance(target, (str, Path))
     stream = open(target, "w", encoding="utf-8", newline="") if own else target
     try:
         columns = [schema.case, schema.activity, schema.timestamp]
         if schema.resource:
             columns.append(schema.resource)
-        columns.extend(log.attribute_schema)
         writer = csv.writer(stream)
         writer.writerow(columns)
         for event in log.events:
             row = [event.case, event.activity, event.time.isoformat()]
             if schema.resource:
                 row.append(event.resource)
-            row.extend(event.attr(name) or "" for name in log.attribute_schema)
             writer.writerow(row)
     finally:
         if own:

@@ -75,21 +75,6 @@ class Window(NamedTuple):
     end: datetime
 
 
-class Coordinate(NamedTuple):
-    """A position in process space-time.
-
-    ``theta`` is a single window index for the per-window feature types and
-    an ordered (entry, exit) window pair for the batch-style types.
-    """
-
-    segment: Segment
-    theta: Theta
-
-    @property
-    def is_pair(self) -> bool:
-        return isinstance(self.theta, tuple)
-
-
 def windows_of_log(log: EventLog, framing: Framing) -> list[Window]:
     """All windows from the first to the last event, empty ones included."""
     lo = framing.window_index(log.min_time)
@@ -158,15 +143,6 @@ class StepIndex:
 
     def steps_of(self, segment: Segment) -> tuple[Step, ...]:
         return self.steps_by_segment.get(segment, ())
-
-    def steps_entering(self, segment: Segment, window: int) -> tuple[Step, ...]:
-        return self.entering_by_segment.get(segment, {}).get(window, ())
-
-    def steps_exiting(self, segment: Segment, window: int) -> tuple[Step, ...]:
-        return self.exiting_by_segment.get(segment, {}).get(window, ())
-
-    def pair_steps(self, segment: Segment, pair: tuple[int, int]) -> tuple[Step, ...]:
-        return self.pairs_by_segment.get(segment, {}).get(pair, ())
 
     def occupied_pairs(self, segment: Segment) -> tuple[tuple[int, int], ...]:
         return tuple(self.pairs_by_segment.get(segment, {}))

@@ -21,6 +21,7 @@ from __future__ import annotations
 
 import csv
 import json
+import math
 from collections import Counter
 from datetime import datetime
 from typing import IO, TYPE_CHECKING, Iterable, Iterator, Mapping, Union
@@ -68,9 +69,15 @@ def _spread(times: list[str]) -> tuple[datetime, datetime]:
 
 
 def hle_from_dict(d: dict) -> HighLevelEvent:
-    """The event a :func:`hle_to_dict` object describes. A theta of the
-    wrong shape for the type, cases other than a list of names, or a spread
-    that is not two times with UTC offsets in order raise ValueError."""
+    """The event a :func:`hle_to_dict` object describes. An id that is not
+    an integer, a value that is not a finite number, a theta of the wrong
+    shape for the type, cases other than a list of names, or a spread that
+    is not two times with UTC offsets in order raise ValueError."""
+    hle_id, value = d["id"], d["value"]
+    if type(hle_id) is not int:
+        raise ValueError(f"id must be an integer, got {hle_id!r}")
+    if type(value) not in (int, float) or not math.isfinite(value):
+        raise ValueError(f"value must be a finite number, got {value!r}")
     ftype = FeatureType.parse(d["type"])
     theta = d["theta"]
     if ftype.uses_window_pair:
@@ -84,11 +91,11 @@ def hle_from_dict(d: dict) -> HighLevelEvent:
     if not isinstance(cases, list) or not set(map(type, cases)) <= {str}:
         raise ValueError("cases must be a list of case names")
     return HighLevelEvent(
-        id=int(d["id"]),
+        id=hle_id,
         ftype=ftype,
         segment=Segment(*d["segment"]),
         theta=theta,
-        value=float(d["value"]),
+        value=float(value),
         cases=frozenset(cases),
         start_spread=_spread(d["start_spread"]),
         end_spread=_spread(d["end_spread"]),
@@ -101,8 +108,10 @@ def write_hles(hles: Iterable[HighLevelEvent], fp: IO[str]) -> None:
 
 
 def read_hles(fp: IO[str]) -> Iterator[HighLevelEvent]:
-    """The events of a JSON-lines file; a malformed line raises
-    :class:`LogParseError` with its 1-based line number."""
+    """The events of a JSON-lines file; a malformed line, or one repeating
+    an earlier line's id, raises :class:`LogParseError` with its 1-based
+    line number."""
+    first_line: dict[int, int] = {}
     for line_no, line in enumerate(fp, start=1):
         if not line.strip():
             continue
@@ -114,6 +123,11 @@ def read_hles(fp: IO[str]) -> Iterator[HighLevelEvent]:
             raise LogParseError(f"high-level event lacks {exc}", line=line_no) from None
         except (TypeError, ValueError, IndexError, AttributeError, OverflowError) as exc:
             raise LogParseError(f"malformed high-level event: {exc}", line=line_no) from None
+        if hle.id in first_line:
+            raise LogParseError(
+                f"high-level event id {hle.id} repeats line {first_line[hle.id]}", line=line_no
+            )
+        first_line[hle.id] = line_no
         yield hle
 
 

@@ -20,7 +20,7 @@ import math
 from collections import defaultdict
 from dataclasses import dataclass
 from datetime import timedelta
-from typing import Iterable, Iterator
+from typing import Iterable
 
 from .detection import HighLevelEvent
 from .errors import ConfigError
@@ -109,11 +109,6 @@ class PropagationGraph:
                 sorted(g.id for g in candidates[lo:hi] if propagates(h, g, lam))
             )
         return cls(hles=by_id, successors=successors)
-
-    def edges(self) -> Iterator[tuple[int, int]]:
-        for src in sorted(self.successors):
-            for dst in self.successors[src]:
-                yield (src, dst)
 
     @property
     def n_edges(self) -> int:

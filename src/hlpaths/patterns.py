@@ -19,21 +19,20 @@ Every pattern value is the size of its step set. Steps with an empty or
 blacklisted resource on either endpoint still count for enter/exit/batch/
 delay but for neither workload nor handover.
 
-One filter decides which steps of an index bucket count:
-:func:`counted_steps` applies it to every occupied coordinate of a
-(type, segment), for thresholds and detection alike, and
-:func:`evaluate_pattern` to one coordinate.
+One filter decides which steps of an index bucket count, and
+:func:`counted_steps` is the one place that applies it: to every occupied
+coordinate of a (type, segment), for thresholds and detection alike.
 """
 
 from __future__ import annotations
 
 import enum
 import math
-from typing import Iterable, NamedTuple, Sequence
+from typing import Iterable, Sequence
 
 from .errors import ConfigError
 from .event_log import Segment, Step
-from .framing import Coordinate, StepIndex, Theta
+from .framing import StepIndex, Theta
 
 
 class FeatureType(str, enum.Enum):
@@ -60,11 +59,6 @@ ALL_FEATURE_TYPES: tuple[FeatureType, ...] = tuple(FeatureType)
 
 # segment -> minimum window distance for the delay pattern
 DelayThresholds = dict[Segment, int]
-
-
-class PatternResult(NamedTuple):
-    steps: frozenset[Step]
-    value: float
 
 
 def resource_qualifies(step: Step, blacklist: frozenset[str]) -> bool:
@@ -142,32 +136,6 @@ def _counted(
         if w_out - w_in < delay_thresholds.get(segment, 1):
             return ()
     return bucket
-
-
-def evaluate_pattern(
-    ftype: FeatureType,
-    coordinate: Coordinate,
-    idx: StepIndex,
-    *,
-    delay_thresholds: DelayThresholds | None = None,
-    blacklist: frozenset[str] = frozenset(),
-) -> PatternResult:
-    """Evaluate one feature pattern at one coordinate.
-
-    The coordinate's theta shape must match the type (single window for
-    enter/exit/workload/handover, window pair for batch/delay); a mismatch
-    raises ValueError. ``delay_thresholds`` is consulted only for delay.
-    """
-    segment, theta = coordinate
-    if ftype.uses_window_pair != coordinate.is_pair:
-        raise ValueError(
-            f"coordinate shape mismatch: {ftype.value} at theta {theta!r}"
-        )
-    bucket = _buckets(ftype, segment, idx).get(theta, ())
-    step_set = frozenset(
-        _counted(ftype, segment, theta, bucket, delay_thresholds, blacklist)
-    )
-    return PatternResult(steps=step_set, value=float(len(step_set)))
 
 
 def counted_steps(

@@ -128,10 +128,6 @@ class GroundTruth:
     def framing(self) -> Framing:
         return Framing(width=self.spec.window_width, origin=self.spec.start)
 
-    @property
-    def coordinates(self) -> tuple[tuple[FeatureType, Segment, Theta], ...]:
-        return tuple(inj.coordinate for inj in self.injections)
-
 
 def _case_events(
     spec: LogSpec,

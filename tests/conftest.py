@@ -1,7 +1,10 @@
 import random
 from datetime import datetime, timedelta, timezone
 
-from hlpaths.event_log import Event, EventLog
+from hlpaths.detection import HighLevelEvent
+from hlpaths.event_log import Event, EventLog, Segment
+from hlpaths.linkage import Episode
+from hlpaths.patterns import FeatureType, counted_steps
 
 UTC = timezone.utc
 T0 = datetime(2024, 3, 1, tzinfo=UTC)
@@ -21,6 +24,36 @@ def mk_log(rows):
         for i, (case, activity, resource, minutes) in enumerate(rows)
     ]
     return EventLog(events)
+
+
+def one_path_study(part, rest):
+    """A log whose cases all walk a->b, and the one path whose episode
+    holds the cases of ``part``: ``rank_paths`` compares them with the
+    cases of ``rest``."""
+    rows = [
+        (case, activity, "r1", 10 * i + k)
+        for i, case in enumerate(sorted(part | rest))
+        for k, activity in enumerate("ab")
+    ]
+    spread = (T0, T0 + timedelta(hours=1))
+    hle = HighLevelEvent(
+        id=0, ftype=FeatureType.EXIT, segment=Segment("a", "b"), theta=0,
+        value=float(len(part)), cases=frozenset(part),
+        start_spread=spread, end_spread=spread,
+    )
+    episode = Episode(hles=(hle,), common_cases=hle.cases, union_cases=hle.cases)
+    return mk_log(rows), {episode.path: [episode]}
+
+
+def marginals(table):
+    """The row totals and the column totals of a contingency table."""
+    return tuple(map(sum, table.counts)), tuple(map(sum, zip(*table.counts)))
+
+
+def counted(idx, ftype, segment, theta, **kw):
+    """The steps that count for ``ftype`` at one coordinate: its list in
+    ``counted_steps``, or () where the coordinate is not occupied."""
+    return counted_steps(ftype, segment, idx, **kw).get(theta, ())
 
 
 def random_small_log(seed):

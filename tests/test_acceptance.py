@@ -13,14 +13,14 @@ import numpy as np
 import pytest
 
 import conftest
-from conftest import random_small_log
+from conftest import counted, marginals, one_path_study, random_small_log
 from hlpaths.config import RunConfig
-from hlpaths.correlation import CHI2_CRITICAL_95, chi_square, participation_table
+from hlpaths.correlation import chi_square, rank_paths
 from hlpaths.detection import compute_thresholds, detect_hles
 from hlpaths.event_log import Segment
-from hlpaths.framing import Coordinate, Framing, build_indices
+from hlpaths.framing import Framing, build_indices
 from hlpaths.linkage import HighLevelPath, PropagationGraph, enumerate_episodes, jaccard
-from hlpaths.patterns import FeatureType, compute_delay_thresholds, evaluate_pattern
+from hlpaths.patterns import FeatureType, compute_delay_thresholds, counted_steps
 from hlpaths.pipeline import run_correlate, run_detect, run_link
 from hlpaths.synthgen import InjectionSpec, LogSpec, generate_log
 
@@ -122,10 +122,14 @@ def _tables_in_band(rng, shape, band_lo, band_hi, count):
     return found
 
 
+# 95% critical values of the chi-square distribution for 2x2 and 3x2 tables
+CRITICAL_95 = {1: 3.8414588206941285, 2: 5.991464547107983}
+
+
 def test_criterion_2_critical_value_consistency():
     rng = np.random.default_rng(20240301)
-    crit1 = CHI2_CRITICAL_95[1]
-    crit2 = CHI2_CRITICAL_95[2]
+    crit1 = CRITICAL_95[1]
+    crit2 = CRITICAL_95[2]
     batches = [
         (1, _tables_in_band(rng, (2, 2), 2.9, crit1, 250)),
         (1, _tables_in_band(rng, (2, 2), crit1, 4.9, 250)),
@@ -135,12 +139,12 @@ def test_criterion_2_critical_value_consistency():
     checked = 0
     ok = True
     for dof, batch in batches:
-        crit = CHI2_CRITICAL_95[dof]
+        crit = CRITICAL_95[dof]
         for table, r in batch:
             assert r.dof == dof
             # integer tables never land on the irrational critical point
             assert abs(r.statistic - crit) > 1e-9
-            if r.significant_at(0.05) != (r.statistic >= crit):
+            if (r.p_value < 0.05) != (r.statistic >= crit):
                 ok = False
             checked += 1
     verdict(
@@ -188,13 +192,21 @@ def test_criterion_3_oracle_equivalence():
         delta = compute_delay_thresholds(idx, q)
         assert delta == o_delta, seed
 
+        occupied = {
+            (ftype, segment): counted_steps(
+                ftype, segment, idx, delay_thresholds=delta, blacklist=blacklist)
+            for ftype in FeatureType for segment in segments
+        }
         for (ftype, segment, theta), id_pairs in values.items():
-            res = evaluate_pattern(
-                ftype, Coordinate(segment, theta), idx,
-                delay_thresholds=delta, blacklist=blacklist)
-            assert {(s.first.id, s.second.id) for s in res.steps} == id_pairs, (
+            steps = occupied[(ftype, segment)].get(theta, ())
+            assert {(s.first.id, s.second.id) for s in steps} == id_pairs, (
                 seed, ftype, segment, theta)
-            assert res.value == len(id_pairs)
+            assert len(steps) == len(id_pairs)
+        # no coordinate the oracle leaves out holds a counted step
+        for (ftype, segment), by_theta in occupied.items():
+            for theta, steps in by_theta.items():
+                assert (ftype, segment, theta) in values or not steps, (
+                    seed, ftype, segment, theta)
 
         table = compute_thresholds(
             idx, p, delay_thresholds=delta, blacklist=blacklist,
@@ -340,25 +352,20 @@ def test_criterion_5_property_suite():
         for segment in idx.segments:
             n = len(idx.steps_of(segment))
             enter = sum(
-                evaluate_pattern(FeatureType.ENTER, Coordinate(segment, w), idx).value
-                for w in idx.window_range)
+                len(counted(idx, FeatureType.ENTER, segment, w)) for w in idx.window_range)
             exit_ = sum(
-                evaluate_pattern(FeatureType.EXIT, Coordinate(segment, w), idx).value
-                for w in idx.window_range)
+                len(counted(idx, FeatureType.EXIT, segment, w)) for w in idx.window_range)
             batch = sum(
-                evaluate_pattern(FeatureType.BATCH, Coordinate(segment, pr), idx).value
+                len(counted(idx, FeatureType.BATCH, segment, pr))
                 for pr in idx.occupied_pairs(segment))
             if not (enter == exit_ == batch == n):
                 problems.append(f"conservation broken on {segment}")
             for w in idx.window_range:
-                ex = evaluate_pattern(
-                    FeatureType.EXIT, Coordinate(segment, w), idx).steps
-                lo = evaluate_pattern(
-                    FeatureType.WORKLOAD, Coordinate(segment, w), idx,
-                    blacklist=params["blacklist"]).steps
-                ha = evaluate_pattern(
-                    FeatureType.HANDOVER, Coordinate(segment, w), idx,
-                    blacklist=params["blacklist"]).steps
+                ex = set(counted(idx, FeatureType.EXIT, segment, w))
+                lo = set(counted(idx, FeatureType.WORKLOAD, segment, w,
+                                 blacklist=params["blacklist"]))
+                ha = set(counted(idx, FeatureType.HANDOVER, segment, w,
+                                 blacklist=params["blacklist"]))
                 if not (lo <= ex and ha <= ex and not (lo & ha)):
                     problems.append(f"workload/handover not within exit on {segment}")
 
@@ -383,8 +390,10 @@ def test_criterion_5_property_suite():
             problems.append("jaccard broken")
 
     classes = {"c1": "x", "c2": "y", "c3": "x", "c4": "x"}
-    t = participation_table(frozenset({"c1", "c2"}), frozenset({"c3", "c4"}), classes)
-    if t.row_totals() != (2, 2) or t.col_totals() != (3, 1):
+    (a,) = rank_paths(*one_path_study(frozenset({"c1", "c2"}), frozenset({"c3", "c4"})),
+                      classes)
+    rows = (a.n_participating, a.n_non_participating)
+    if rows != (2, 2) or marginals(a.table) != (rows, (3, 1)):
         problems.append("contingency marginals broken")
 
     verdict(

@@ -199,7 +199,7 @@ def test_link_rejects_repeated_event_id(staged, tmp_path, capsys):
     doubled = tmp_path / "hles.jsonl"
     doubled.write_text(first + "\n" + first + "\n")
     assert main(["link", "--hles", str(doubled), "--out", str(tmp_path / "out")]) == 1
-    assert "error: duplicate high-level event ids" in capsys.readouterr().err
+    assert "error: line 2: high-level event id 0 repeats line 1" in capsys.readouterr().err
 
 
 def _drop(key):
@@ -235,6 +235,14 @@ HLE_DEFECTS = {
         lambda line: json.dumps({**json.loads(line), "type": "delay", "theta": 3}),
         "malformed high-level event: delay theta must be a pair of windows, got 3",
     ),
+    "float-id": (_set("id", 3.7), "malformed high-level event: id must be an integer, got 3.7"),
+    "string-id": (_set("id", "7"),
+                  "malformed high-level event: id must be an integer, got '7'"),
+    "bool-id": (_set("id", True), "malformed high-level event: id must be an integer, got True"),
+    "nan-value": (_set("value", "nan"),
+                  "malformed high-level event: value must be a finite number, got 'nan'"),
+    # line 1 holds event 0
+    "repeated-id": (_set("id", 0), "high-level event id 0 repeats line 1"),
 }
 
 
@@ -290,8 +298,7 @@ def test_correlate_rejects_malformed_episodes(staged, tmp_path, capsys, defect, 
 
 def test_build_config_precedence(tmp_path):
     cfg_file = tmp_path / "run.yaml"
-    with open(cfg_file, "w") as fp:
-        RunConfig(percentile=95, lam=0.7, window="2d").to_yaml(fp)
+    cfg_file.write_text("percentile: 95\nlambda: 0.7\nwindow: 2d\n", encoding="utf-8")
     args = ns(config=str(cfg_file), percentile=80.0, lam=None, window=None,
               blacklist=["u1", "u2"], types="enter,exit")
     cfg = build_config(args)

@@ -4,9 +4,9 @@ import math
 from datetime import timedelta
 
 import pytest
-from scipy.special import gammaincc
+from scipy.special import chdtri, gammaincc
 
-from conftest import T0, mk_log, random_small_log
+from conftest import T0, marginals, mk_log, one_path_study, random_small_log
 from hlpaths.correlation import (
     AttributeBinning,
     ContingencyTable,
@@ -14,12 +14,10 @@ from hlpaths.correlation import (
     bin_cases,
     chi2_sf,
     chi_square,
-    critical_value,
     derive_outcome,
     derive_throughput,
     non_participating_cases,
     participating_cases,
-    participation_table,
     rank_paths,
 )
 from hlpaths.detection import HighLevelEvent, compute_thresholds, detect_hles
@@ -87,8 +85,8 @@ def test_derive_outcome(scenario):
     log, _, _ = scenario
     out = derive_outcome(log, "c")
     assert out["c1"] == "success" and out["c7"] == "success"
-    out = derive_outcome(log, "x", positive="detour", negative="direct")
-    assert out["c7"] == "detour" and out["c1"] == "direct"
+    out = derive_outcome(log, "x")
+    assert out["c7"] == "success" and out["c1"] == "failure"
 
 
 def test_derive_throughput(scenario):
@@ -99,12 +97,12 @@ def test_derive_throughput(scenario):
 
 
 def test_binning_classify_half_open():
-    b = AttributeBinning.from_edges([10, 20], ["low", "mid", "high"])
+    b = AttributeBinning(edges=(10.0, 20.0), labels=("low", "mid", "high"))
     assert b.classify(9.999) == "low"
     assert b.classify(10) == "mid"  # left edge belongs to the upper bin
     assert b.classify(19.999) == "mid"
     assert b.classify(20) == "high"
-    assert b.labels == ("low", "mid", "high")
+    assert AttributeBinning.from_edges([10, 20]).classify(10) == "[10,20)"
 
 
 def test_binning_auto_labels_and_guards():
@@ -173,10 +171,9 @@ def test_chi_square_rejects_degenerate_tables():
 def test_contingency_table_shape_checked():
     with pytest.raises(ValueError, match="shape"):
         ContingencyTable(("r1",), ("c1", "c2"), ((1, 2), (3, 4)))
-    t = ContingencyTable(("r1", "r2"), ("c1", "c2"), ((1, 2), (3, 4)))
-    assert t.total == 10
-    assert t.row_totals() == (3, 7)
-    assert t.col_totals() == (4, 6)
+    with pytest.raises(ValueError, match="shape"):
+        ContingencyTable(("r1", "r2"), ("c1",), ((1, 2), (3, 4)))
+    ContingencyTable(("r1", "r2"), ("c1", "c2"), ((1, 2), (3, 4)))
 
 
 # statistics from 0 to 3000: dense where p is moderate, past 1490 where
@@ -213,20 +210,19 @@ def test_chi2_sf_closed_forms():
 
 
 def test_critical_value_round_trips_through_chi2_sf():
+    # scipy's inverse survival function gives the critical value
     for dof in range(1, 11):
         for alpha in (0.1, 0.05, 0.01, 1e-6):
-            assert chi2_sf(critical_value(dof, alpha), dof) == pytest.approx(alpha, rel=1e-9)
+            assert chi2_sf(chdtri(dof, alpha), dof) == pytest.approx(alpha, rel=1e-9)
 
 
 def test_critical_values():
-    assert critical_value(1) == pytest.approx(3.841458820694124, abs=1e-9)
-    assert critical_value(2) == pytest.approx(5.991464547107979, abs=1e-9)
-    # non-tabulated combinations fall back to bisection on Q(a, x)
+    # the tail at the published 95% critical values is 0.05
+    assert chi2_sf(3.841458820694124, 1) == pytest.approx(0.05, rel=1e-9)
+    assert chi2_sf(5.991464547107979, 2) == pytest.approx(0.05, rel=1e-9)
     for dof, alpha in ((3, 0.05), (1, 0.01), (2, 0.10)):
-        crit = critical_value(dof, alpha)
-        assert gammaincc(dof / 2, crit / 2) == pytest.approx(alpha, rel=1e-9)
-    with pytest.raises(ConfigError):
-        critical_value(1, 0.0)
+        crit = chdtri(dof, alpha)
+        assert chi2_sf(crit, dof) == pytest.approx(gammaincc(dof / 2, crit / 2), rel=1e-9)
 
 
 def test_benjamini_hochberg_frozen_example():
@@ -240,18 +236,15 @@ def test_benjamini_hochberg_frozen_example():
 
 def test_participation_table_layout():
     classes = {"c1": "success", "c2": "failure", "c3": "failure", "c4": "success"}
-    table = participation_table(
-        frozenset({"c1", "c2"}), frozenset({"c3", "c4"}), classes
-    )
-    assert table.row_labels == ("participating", "non-participating")
-    assert table.col_labels == ("failure", "success")
-    assert table.counts == ((1, 1), (1, 1))
-    ordered = participation_table(
-        frozenset({"c1", "c2"}), frozenset({"c3", "c4"}), classes,
-        class_order=("success", "failure"),
-    )
-    assert ordered.counts == ((1, 1), (1, 1))
-    assert ordered.col_labels == ("success", "failure")
+    log, grouped = one_path_study(frozenset({"c1", "c2"}), frozenset({"c3", "c4"}))
+    (a,) = rank_paths(log, grouped, classes)
+    assert a.table.row_labels == ("participating", "non-participating")
+    assert a.table.col_labels == ("failure", "success")
+    assert a.table.counts == ((1, 1), (1, 1))
+    assert marginals(a.table)[0] == (a.n_participating, a.n_non_participating) == (2, 2)
+    (ordered,) = rank_paths(log, grouped, classes, class_order=("success", "failure"))
+    assert ordered.table.counts == ((1, 1), (1, 1))
+    assert ordered.table.col_labels == ("success", "failure")
 
 
 def test_rank_paths_end_to_end(scenario):

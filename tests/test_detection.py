@@ -8,17 +8,18 @@ window 1 and handover stays flat at zero.
 import io
 import math
 import random
+from collections import Counter
 from datetime import timedelta
 
 import pytest
 
-from conftest import T0, mk_log
+from conftest import T0, counted, mk_log
 from hlpaths import patterns
 from hlpaths.detection import compute_thresholds, detect_hles, summarize_by_type
 from hlpaths.event_log import Segment
-from hlpaths.framing import Coordinate, Framing, build_indices
+from hlpaths.framing import Framing, build_indices
 from hlpaths.io import hle_from_dict, hle_to_dict, read_hles, write_hles
-from hlpaths.patterns import FeatureType, compute_delay_thresholds, evaluate_pattern
+from hlpaths.patterns import FeatureType, compute_delay_thresholds
 from oracles import SINGLE_TYPES, o_delay_thresholds, o_threshold
 
 AB = Segment("a", "b")
@@ -208,21 +209,36 @@ def long_log(seed=7, n_days=120):
 
 
 def test_thresholds_never_evaluate_a_coordinate(idx, monkeypatch):
-    def refuse(*args, **kwargs):
-        raise AssertionError("a coordinate was evaluated one at a time")
+    """Only occupied coordinates are filtered: thresholds filter each one
+    exactly once, detection each at most once, and no stage walks the
+    empty windows of the frame."""
+    calls = Counter()
+    real = patterns._counted
 
-    monkeypatch.setattr("hlpaths.patterns.evaluate_pattern", refuse)
+    def spy(ftype, segment, theta, *args):
+        calls[(ftype, segment, theta)] += 1
+        return real(ftype, segment, theta, *args)
+
+    monkeypatch.setattr(patterns, "_counted", spy)
+    blacklist = frozenset({"r3"})
     for index in (idx, build_indices(long_log(), Framing(width=DAY, origin=T0))):
         delta = compute_delay_thresholds(index, 70)
+        occupied = {
+            (ftype, segment, theta)
+            for segment in index.segments for ftype in FeatureType
+            for theta in occupied_thetas(index, ftype, segment)
+        }
         for pair_population in ("occupied", "all"):
+            calls.clear()
             table = compute_thresholds(
-                index, 90, delay_thresholds=delta, blacklist=frozenset({"r3"}),
+                index, 90, delay_thresholds=delta, blacklist=blacklist,
                 pair_population=pair_population,
             )
+            assert calls == Counter(dict.fromkeys(occupied, 1))
             assert len(table.values) == 6 * len(index.segments)
-            assert detect_hles(
-                index, table, delay_thresholds=delta, blacklist=frozenset({"r3"})
-            )
+            calls.clear()
+            assert detect_hles(index, table, delay_thresholds=delta, blacklist=blacklist)
+            assert set(calls) <= occupied and max(calls.values()) == 1
 
 
 def occupied_thetas(index, ftype, segment):
@@ -316,13 +332,12 @@ def test_all_pairs_thresholds_match_brute_force_populations(p):
     for segment in idx.segments:
         for ftype in SINGLE_TYPES:
             want[(ftype, segment)] = o_threshold([
-                evaluate_pattern(ftype, Coordinate(segment, w), idx, blacklist=blacklist).value
-                for w in windows
+                len(counted(idx, ftype, segment, w, blacklist=blacklist)) for w in windows
             ], p)
         batch, delay = [], []
         for a in windows:
             for b in range(a, windows[-1] + 1):
-                n = len(idx.pair_steps(segment, (a, b)))
+                n = len(idx.pairs_by_segment[segment].get((a, b), ()))
                 batch.append(n)
                 delay.append(n if b - a >= delta[segment] else 0)
         assert len(batch) == len(windows) * (len(windows) + 1) // 2

@@ -97,9 +97,17 @@ def test_parse_csv_custom_schema_and_extra_columns():
     raw = "id,task,when,who,amount\nk1,a,2024-03-01T08:00:00Z,r1,50\nk1,b,2024-03-01T09:00:00Z,r1,\n"
     schema = CsvSchema(case="id", activity="task", timestamp="when", resource="who")
     log = parse_csv(io.StringIO(raw), schema)
-    assert log.attribute_schema == ("amount",)
-    assert log.trace("k1")[0].attr("amount") == "50"
-    assert log.trace("k1")[1].attr("amount") == ""
+    # the extra column is read past, not kept
+    assert [tuple(e) for e in log.trace("k1")] == [
+        ("e0", "k1", "a", "r1", datetime(2024, 3, 1, 8, tzinfo=timezone.utc)),
+        ("e1", "k1", "b", "r1", datetime(2024, 3, 1, 9, tzinfo=timezone.utc)),
+    ]
+    out = io.StringIO()
+    write_csv(log, out, schema)
+    assert out.getvalue().splitlines()[0] == "id,task,when,who"
+    # a row must still carry every header field, the ignored ones included
+    with pytest.raises(LogParseError, match="header's 5 fields"):
+        parse_csv(io.StringIO(raw + "k2,a,2024-03-01T08:00:00Z,r1\n"), schema)
 
 
 def test_parse_csv_no_resource_column():

@@ -11,7 +11,6 @@ from hlpaths.config import RunConfig
 from hlpaths.errors import ConfigError
 from hlpaths.event_log import Segment, derive_steps
 from hlpaths.framing import (
-    Coordinate,
     Framing,
     build_indices,
     parse_duration,
@@ -101,8 +100,13 @@ def test_windows_of_log_contiguous_with_empty_windows():
 
 
 def test_coordinate_shape():
-    assert not Coordinate(Segment("a", "b"), 4).is_pair
-    assert Coordinate(Segment("a", "b"), (1, 2)).is_pair
+    # entry and exit buckets are keyed by one window, pair buckets by two
+    log = mk_log([("c1", "a", "r1", 0), ("c1", "b", "r1", 2 * 24 * 60)])
+    idx = build_indices(log, Framing(width=DAY, origin=T0))
+    seg = Segment("a", "b")
+    assert list(idx.entering_by_segment[seg]) == [0]
+    assert list(idx.exiting_by_segment[seg]) == [2]
+    assert list(idx.pairs_by_segment[seg]) == [(0, 2)]
 
 
 def test_build_indices_origin_after_first_event_rejected():
@@ -122,12 +126,12 @@ def test_step_index_buckets():
     seg = Segment("a", "b")
     assert idx.window_range == range(0, 3)
     assert [s.case for s in idx.steps_of(seg)] == ["c1", "c2"]
-    assert [s.case for s in idx.steps_entering(seg, 0)] == ["c1", "c2"]
-    assert [s.case for s in idx.steps_exiting(seg, 0)] == ["c1"]
-    assert [s.case for s in idx.steps_exiting(seg, 2)] == ["c2"]
+    assert [s.case for s in idx.entering_by_segment[seg][0]] == ["c1", "c2"]
+    assert [s.case for s in idx.exiting_by_segment[seg][0]] == ["c1"]
+    assert [s.case for s in idx.exiting_by_segment[seg][2]] == ["c2"]
     assert idx.occupied_pairs(seg) == ((0, 0), (0, 2))
-    assert [s.case for s in idx.pair_steps(seg, (0, 2))] == ["c2"]
-    assert idx.pair_steps(seg, (1, 1)) == ()
+    assert [s.case for s in idx.pairs_by_segment[seg][(0, 2)]] == ["c2"]
+    assert (1, 1) not in idx.pairs_by_segment[seg]
 
 
 def test_step_index_respects_segment_selection():

@@ -337,6 +337,11 @@ def test_read_hles_mutated(changes):
 @example(key="start_spread", value=["2024-03-01T08:00:00", "2024-03-01T09:00:00"])
 @example(key="type", value="exit")  # a window pair on a single-window type
 @example(key="theta", value=1)  # one window on the pair type batch
+@example(key="id", value=3.7)
+@example(key="id", value="7")
+@example(key="id", value=True)
+@example(key="value", value="nan")
+@example(key="value", value=float("inf"))
 def test_read_hles_arbitrary_values(key, value):
     typed_or_result(read_hles_text, json.dumps({**HLE, key: value}) + "\n")
 

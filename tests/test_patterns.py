@@ -13,14 +13,14 @@ import math
 
 import pytest
 
-from conftest import T0, mk_log
+from conftest import T0, counted, mk_log
 from hlpaths.errors import ConfigError
 from hlpaths.event_log import Segment
-from hlpaths.framing import Coordinate, Framing, build_indices
+from hlpaths.framing import Framing, build_indices
 from hlpaths.patterns import (
     FeatureType,
     compute_delay_thresholds,
-    evaluate_pattern,
+    counted_steps,
     nearest_rank,
     segment_delay_threshold,
 )
@@ -43,18 +43,18 @@ def idx():
     return build_indices(log, Framing(width=timedelta(days=1), origin=T0))
 
 
-def cases(result):
-    return sorted(s.case for s in result.steps)
+def cases(steps):
+    return sorted(s.case for s in steps)
 
 
 def pattern(idx, ftype, theta, **kw):
-    return evaluate_pattern(ftype, Coordinate(AB, theta), idx, **kw)
+    return counted(idx, ftype, AB, theta, **kw)
 
 
 def test_enter(idx):
     assert cases(pattern(idx, FeatureType.ENTER, 0)) == ["c1", "c2", "c3"]
     assert cases(pattern(idx, FeatureType.ENTER, 1)) == ["c4", "c5"]
-    assert pattern(idx, FeatureType.ENTER, 2).value == 0.0
+    assert not pattern(idx, FeatureType.ENTER, 2)
 
 
 def test_exit(idx):
@@ -68,13 +68,13 @@ def test_workload_excludes_empty_and_blacklisted(idx):
     # without a blacklist, c5's rX->rX counts as same-resource work
     assert cases(pattern(idx, FeatureType.WORKLOAD, 1)) == ["c5"]
     blk = frozenset({"rX"})
-    assert pattern(idx, FeatureType.WORKLOAD, 1, blacklist=blk).value == 0.0
+    assert not pattern(idx, FeatureType.WORKLOAD, 1, blacklist=blk)
 
 
 def test_handover_needs_two_usable_resources(idx):
     assert cases(pattern(idx, FeatureType.HANDOVER, 0)) == ["c2"]
     # c4 has an empty first resource: not a handover even though r differs
-    assert pattern(idx, FeatureType.HANDOVER, 1).value == 0.0
+    assert not pattern(idx, FeatureType.HANDOVER, 1)
     assert cases(pattern(idx, FeatureType.HANDOVER, 2)) == ["c3"]
 
 
@@ -88,7 +88,7 @@ def test_blacklist_does_not_touch_load_patterns(idx):
 def test_batch(idx):
     assert cases(pattern(idx, FeatureType.BATCH, (0, 0))) == ["c1", "c2"]
     assert cases(pattern(idx, FeatureType.BATCH, (0, 2))) == ["c3"]
-    assert pattern(idx, FeatureType.BATCH, (0, 1)).value == 0.0
+    assert not pattern(idx, FeatureType.BATCH, (0, 1))
 
 
 def test_delay_threshold_and_pattern(idx):
@@ -100,10 +100,10 @@ def test_delay_threshold_and_pattern(idx):
 
     delta = {AB: 1}
     assert cases(pattern(idx, FeatureType.DELAY, (0, 2), delay_thresholds=delta)) == ["c3"]
-    assert pattern(idx, FeatureType.DELAY, (0, 0), delay_thresholds=delta).value == 0.0
+    assert not pattern(idx, FeatureType.DELAY, (0, 0), delay_thresholds=delta)
     # distance 2 still reaches a delta of 2
     assert cases(pattern(idx, FeatureType.DELAY, (0, 2), delay_thresholds={AB: 2})) == ["c3"]
-    assert pattern(idx, FeatureType.DELAY, (0, 2), delay_thresholds={AB: 3}).value == 0.0
+    assert not pattern(idx, FeatureType.DELAY, (0, 2), delay_thresholds={AB: 3})
 
 
 def test_delay_without_thresholds_rejected(idx):
@@ -112,31 +112,38 @@ def test_delay_without_thresholds_rejected(idx):
 
 
 def test_coordinate_shape_mismatch(idx):
-    with pytest.raises(ValueError, match="shape"):
-        pattern(idx, FeatureType.ENTER, (0, 1))
-    with pytest.raises(ValueError, match="shape"):
-        pattern(idx, FeatureType.BATCH, 0)
+    # single-window types are keyed by window, pair types by (entry, exit)
+    delta = {AB: 1}
+    for ftype in FeatureType:
+        thetas = counted_steps(ftype, AB, idx, delay_thresholds=delta)
+        assert thetas
+        shape = tuple if ftype.uses_window_pair else int
+        assert all(type(theta) is shape for theta in thetas), ftype
+    # so a theta of the other shape is no coordinate of the type
+    assert not pattern(idx, FeatureType.ENTER, (0, 0))
+    assert not pattern(idx, FeatureType.BATCH, 0)
 
 
 def test_value_is_step_count(idx):
+    # a value is the length of its list: no step may be listed twice
     for ftype in (FeatureType.ENTER, FeatureType.EXIT, FeatureType.WORKLOAD):
         for w in range(3):
-            result = pattern(idx, ftype, w)
-            assert result.value == float(len(result.steps))
+            steps = pattern(idx, ftype, w)
+            assert len(set(steps)) == len(steps)
 
 
 def test_workload_handover_partition_exit(idx):
     for w in range(3):
-        exit_steps = pattern(idx, FeatureType.EXIT, w).steps
-        wl = pattern(idx, FeatureType.WORKLOAD, w).steps
-        ho = pattern(idx, FeatureType.HANDOVER, w).steps
+        exit_steps = set(pattern(idx, FeatureType.EXIT, w))
+        wl = set(pattern(idx, FeatureType.WORKLOAD, w))
+        ho = set(pattern(idx, FeatureType.HANDOVER, w))
         assert wl <= exit_steps and ho <= exit_steps
         assert not (wl & ho)
 
 
 def test_unknown_segment_is_empty(idx):
-    result = evaluate_pattern(FeatureType.ENTER, Coordinate(Segment("x", "y"), 0), idx)
-    assert result.value == 0.0
+    assert counted_steps(FeatureType.ENTER, Segment("x", "y"), idx) == {}
+    assert not counted(idx, FeatureType.ENTER, Segment("x", "y"), 0)
 
 
 def test_feature_type_parse():

@@ -10,21 +10,12 @@ from datetime import timedelta
 from hypothesis import HealthCheck, assume, given, settings
 from hypothesis import strategies as st
 
-from conftest import random_small_log
-from hlpaths.correlation import (
-    benjamini_hochberg,
-    chi_square,
-    participation_table,
-)
+from conftest import counted, marginals, one_path_study, random_small_log
+from hlpaths.correlation import benjamini_hochberg, chi_square, rank_paths
 from hlpaths.detection import compute_thresholds, detect_hles
-from hlpaths.framing import Coordinate, Framing, build_indices
+from hlpaths.framing import Framing, build_indices
 from hlpaths.linkage import PropagationGraph, enumerate_episodes, jaccard
-from hlpaths.patterns import (
-    FeatureType,
-    compute_delay_thresholds,
-    evaluate_pattern,
-    nearest_rank,
-)
+from hlpaths.patterns import FeatureType, compute_delay_thresholds, nearest_rank
 
 seeds = st.integers(min_value=0, max_value=10**6)
 log_settings = settings(
@@ -86,12 +77,11 @@ def test_enter_exit_batch_conserve_steps(seed):
         n = len(idx.steps_of(segment))
         for ftype in (FeatureType.ENTER, FeatureType.EXIT):
             total = sum(
-                evaluate_pattern(ftype, Coordinate(segment, w), idx).value
-                for w in idx.window_range
+                len(counted(idx, ftype, segment, w)) for w in idx.window_range
             )
             assert total == n, (ftype, segment)
         batch_total = sum(
-            evaluate_pattern(FeatureType.BATCH, Coordinate(segment, pair), idx).value
+            len(counted(idx, FeatureType.BATCH, segment, pair))
             for pair in idx.occupied_pairs(segment)
         )
         assert batch_total == n, segment
@@ -104,14 +94,9 @@ def test_workload_and_handover_partition_within_exit(seed):
     blacklist = params["blacklist"]
     for segment in idx.segments:
         for w in idx.window_range:
-            exit_steps = evaluate_pattern(
-                FeatureType.EXIT, Coordinate(segment, w), idx).steps
-            load = evaluate_pattern(
-                FeatureType.WORKLOAD, Coordinate(segment, w), idx,
-                blacklist=blacklist).steps
-            hand = evaluate_pattern(
-                FeatureType.HANDOVER, Coordinate(segment, w), idx,
-                blacklist=blacklist).steps
+            exit_steps = set(counted(idx, FeatureType.EXIT, segment, w))
+            load = set(counted(idx, FeatureType.WORKLOAD, segment, w, blacklist=blacklist))
+            hand = set(counted(idx, FeatureType.HANDOVER, segment, w, blacklist=blacklist))
             assert load <= exit_steps and hand <= exit_steps
             assert not (load & hand)
 
@@ -125,16 +110,15 @@ def test_delay_is_a_filtered_batch(seed):
         if segment not in delays:
             continue
         for pair in idx.occupied_pairs(segment):
-            batch = evaluate_pattern(FeatureType.BATCH, Coordinate(segment, pair), idx)
-            delay = evaluate_pattern(
-                FeatureType.DELAY, Coordinate(segment, pair), idx,
-                delay_thresholds=delays)
-            assert delay.steps <= batch.steps
+            batch = set(counted(idx, FeatureType.BATCH, segment, pair))
+            delay = set(counted(idx, FeatureType.DELAY, segment, pair,
+                                delay_thresholds=delays))
+            assert delay <= batch
             w_in, w_out = pair
             if w_out - w_in >= delays[segment]:
-                assert delay.steps == batch.steps
+                assert delay == batch
             else:
-                assert not delay.steps
+                assert not delay
 
 
 # --- detection monotonicity ----------------------------------------------------
@@ -194,19 +178,25 @@ def test_jaccard_symmetric_and_bounded(a, b):
 )
 def test_participation_table_marginals(part, rest, data):
     classes_pool = ("red", "green", "blue")
+    part, rest = (frozenset(f"c{c}" for c in group) for group in (part, rest))
     classes = {
         c: data.draw(st.sampled_from(classes_pool), label=f"class[{c}]")
-        for c in part | rest
+        for c in sorted(part | rest)
     }
-    table = participation_table(
-        frozenset(map(str, part)), frozenset(map(str, rest)),
-        {str(k): v for k, v in classes.items()},
-    )
-    assert table.row_totals() == (len(part), len(rest))
+    log, grouped = one_path_study(part, rest)
+    (a,) = rank_paths(log, grouped, classes)
+    assert (a.n_participating, a.n_non_participating) == (len(part), len(rest))
+    if a.table is None:
+        # a single class leaves one column: the path is skipped, not tested
+        assert len(set(classes.values())) == 1 and a.skipped_reason
+        return
+    rows, cols = marginals(a.table)
+    assert rows == (a.n_participating, a.n_non_participating)
+    assert a.table.col_labels == tuple(sorted(set(classes.values())))
     # column sums reproduce the class counts over both groups combined
-    for label, total in zip(table.col_labels, table.col_totals()):
+    for label, total in zip(a.table.col_labels, cols):
         assert total == sum(1 for v in classes.values() if v == label)
-    assert table.total == len(part) + len(rest)
+    assert sum(cols) == len(part) + len(rest)
 
 
 # --- chi-square ------------------------------------------------------------------

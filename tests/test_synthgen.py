@@ -52,9 +52,9 @@ def test_deterministic_per_seed():
 def test_trace_shape():
     spec = small_spec()
     log, truth = generate_log(spec, seed=1)
-    traces = log.traces
-    assert len(traces) == 30
-    for case, events in traces.items():
+    assert len(log.cases) == 30
+    for case in log.cases:
+        events = log.trace(case)
         acts = [e.activity for e in events]
         if truth.outcomes[case] == "success":
             assert acts == ["a", "b", "c", "ok"]
@@ -89,7 +89,7 @@ def test_injection_adds_dedicated_cases_at_coordinate():
 
     fr = truth.framing
     for case in placed.cases:
-        events = log.traces[case]
+        events = log.trace(case)
         by_act = {e.activity: e for e in events}
         assert fr.window_index(by_act["b"].time) == 2
 
@@ -112,7 +112,7 @@ def test_batch_and_delay_injection_span_windows():
     for placed in truth.injections:
         w_in, w_out = placed.theta
         for case in placed.cases:
-            by_act = {e.activity: e for e in log.traces[case]}
+            by_act = {e.activity: e for e in log.trace(case)}
             assert fr.window_index(by_act["b"].time) == w_in
             assert fr.window_index(by_act["c"].time) == w_out
 
@@ -126,10 +126,10 @@ def test_workload_and_handover_injections_fix_resources():
     log, truth = generate_log(spec, seed=11)
     load, hand = truth.injections
     for case in load.cases:
-        by_act = {e.activity: e for e in log.traces[case]}
+        by_act = {e.activity: e for e in log.trace(case)}
         assert by_act["a"].resource == by_act["b"].resource != ""
     for case in hand.cases:
-        by_act = {e.activity: e for e in log.traces[case]}
+        by_act = {e.activity: e for e in log.trace(case)}
         assert by_act["a"].resource != by_act["b"].resource
         assert by_act["a"].resource and by_act["b"].resource
 
@@ -179,5 +179,8 @@ def test_ground_truth_coordinates_and_framing():
     log, truth = generate_log(spec, seed=0)
     assert isinstance(truth, GroundTruth)
     assert truth.framing.origin == spec.start
-    assert len(truth.coordinates) == len(spec.injections) == 2
+    assert [inj.coordinate for inj in truth.injections] == [
+        (inj.ftype, inj.segment, inj.theta) for inj in spec.injections
+    ]
+    assert len(spec.injections) == 2
     assert log.min_time >= spec.start
